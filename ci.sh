@@ -101,6 +101,14 @@ cargo run --release -q -p lbq-bench --bin pr9_bench -- --quick >/dev/null
 echo "== pr9 bench artifact check"
 cargo run --release -q -p lbq-bench --bin pr9_bench -- --check BENCH_PR9.json
 
+echo "== lbq-benchmark --quick (standalone package: API drift + answer check)"
+# benchmark/ is a package of its own with path dependencies on crates/*;
+# the workspace build above never compiles it. Build and smoke it here
+# so a lbq-net/lbq-serve API change that breaks it (say, dropping a
+# NetConfig field report.rs prints) fails ci.sh rather than the driver.
+# Exits non-zero on a failed request or a wrong answer.
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --quick >/dev/null
+
 echo "== bench trend (speedup trajectory across all reports)"
 cargo run --release -q -p lbq-bench --bin bench_trend
 

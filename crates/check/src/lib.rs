@@ -85,10 +85,13 @@ pub struct FileAnalysis {
 }
 
 /// Recursively collects every `.rs` file under `root`, skipping
-/// `target/`, hidden directories, and `fixtures/` trees (the rule
+/// `target/`, hidden directories, `fixtures/` trees (the rule
 /// fixture corpus under `crates/check/tests/fixtures` is deliberately
-/// rule-violating). Paths come back sorted and workspace-relative with
-/// `/` separators.
+/// rule-violating), and nested workspace roots (`benchmark/` is a
+/// package of its own that cargo keeps out of this workspace; scanned,
+/// its function names alias workspace calls in the by-name call
+/// graph). Paths come back sorted and workspace-relative with `/`
+/// separators.
 pub fn workspace_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -99,7 +102,11 @@ pub fn workspace_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if name != "target" && name != "fixtures" && !name.starts_with('.') {
+                if name != "target"
+                    && name != "fixtures"
+                    && !name.starts_with('.')
+                    && !is_workspace_root(&path)
+                {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -109,6 +116,12 @@ pub fn workspace_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     files.sort();
     Ok(files)
+}
+
+/// True when `dir` holds a `Cargo.toml` with a `[workspace]` table.
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// Lexes, parses, and runs the per-file rules over one file.
@@ -548,6 +561,19 @@ mod tests {
                 .iter()
                 .any(|p| p.components().any(|c| c.as_os_str() == "fixtures")),
             "fixture corpus must not be scanned as workspace source"
+        );
+    }
+
+    #[test]
+    fn file_walker_skips_nested_workspace_roots() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = workspace_rs_files(&root).expect("walk");
+        assert!(files.iter().any(|p| p.ends_with("crates/check/src/lib.rs")));
+        assert!(
+            !files
+                .iter()
+                .any(|p| p.components().any(|c| c.as_os_str() == "benchmark")),
+            "the standalone benchmark package is not workspace source"
         );
     }
 

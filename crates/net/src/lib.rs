@@ -7,11 +7,15 @@
 //!
 //! * an **accept loop** hands each connection a dedicated
 //!   reader/writer thread pair (`server` module);
-//! * the **session layer** coalesces requests arriving within
-//!   [`NetConfig::coalesce_window`] of each other — *across
-//!   connections* — into single [`lbq_serve::Engine::submit`] batches,
-//!   so socket concurrency feeds the engine's Hilbert tiling and
-//!   shared-frontier group traversals (`session` module);
+//! * the **session layer** is timer-free: one dispatcher submits
+//!   whatever all connections have queued the moment it is free, so a
+//!   lone request is answered at once and a batch forms — *across
+//!   connections*, feeding the engine's Hilbert tiling and
+//!   shared-frontier group traversals — only while the previous
+//!   [`lbq_serve::Engine::submit`] runs (`session` module);
+//! * hand-offs are **burst-sized**: one injection per socket read, one
+//!   outbound buffer per connection per batch, one `write_all` per
+//!   writer wake-up;
 //! * **graceful shutdown** drains every accepted request and flushes
 //!   every connection before a single thread is abandoned;
 //! * per-connection **limits** (in-flight budget, request payload cap)
@@ -19,13 +23,15 @@
 //!
 //! ## Observability
 //!
-//! `net-accepts` / `net-frames-in` / `net-frames-out` /
-//! `net-protocol-errors` counters, a `net-active-conns` gauge, a
-//! `net-coalesce-batch` histogram (how much cross-connection batching
-//! actually happens), and a `net-socket-latency` histogram
-//! (frame-decoded → response-queued, the server-side slice of a
-//! client's round trip) — all in the global [`lbq_obs`] registry, and
-//! in every exporter snapshot.
+//! `net-accepts` / `net-frames-in` / `net-frames-out` (frames, not
+//! socket writes) / `net-protocol-errors` counters, a
+//! `net-active-conns` gauge, a `net-coalesce-batch` histogram (requests
+//! per `Engine::submit`: how much batching actually happens), a
+//! `net-queue-wait` histogram (frame-decoded → dequeued by the
+//! dispatcher) and a `net-socket-latency` histogram (frame-decoded →
+//! response-queued, the server-side slice of a client's round trip;
+//! minus the queue wait it is engine + encode time) — all in the
+//! global [`lbq_obs`] registry, and in every exporter snapshot.
 //!
 //! # Example
 //!
@@ -78,13 +84,15 @@ pub(crate) const RESPONSE_CAPACITY_HINT: usize = 512;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// How long the session layer holds a batch open after its first
-    /// request, collecting concurrently-arriving requests from all
-    /// connections into one engine submit. Longer windows coalesce
-    /// more (better tiling, fewer submits) at the price of added
-    /// latency on the *first* request of each batch.
+    /// request. Zero by default — the dispatcher never waits on a clock
+    /// and batches are whatever queued up behind the previous submit.
+    /// Test instrument only (the loopback tests hold requests in flight
+    /// with it), hidden so no new caller sets it: the field and its wait
+    /// loop go once `benchmark/` stops printing it (ROADMAP item 3).
+    #[doc(hidden)]
     pub coalesce_window: Duration,
-    /// Hard cap on a coalesced batch (the window closes early when
-    /// reached).
+    /// Hard cap on a batch (a non-zero window closes early when
+    /// reached; the rest stays queued for the next batch).
     pub max_batch: usize,
     /// Per-connection in-flight request budget; exceeding it is a
     /// protocol error that tears the connection down
@@ -100,7 +108,7 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            coalesce_window: Duration::from_micros(200),
+            coalesce_window: Duration::ZERO,
             max_batch: 512,
             max_inflight: 1024,
             max_request_payload: lbq_proto::DEFAULT_SERVER_MAX_PAYLOAD,

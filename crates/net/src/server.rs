@@ -4,14 +4,15 @@
 //! Every connection owns exactly two threads:
 //!
 //! * the **reader** decodes length-prefixed frames from the socket,
-//!   validates them, and injects requests into the session layer
-//!   ([`crate::session`]); protocol errors are answered with an error
-//!   frame and — when fatal ([`lbq_proto::ErrorCode::is_fatal`]) —
-//!   tear the connection down;
-//! * the **writer** drains the connection's outbound queue and owns
-//!   the socket's write half; marking the connection *closing* makes
-//!   the writer flush what is queued and then shut the socket down, so
-//!   an error frame always reaches the peer before the FIN.
+//!   validates them, and injects the requests of one socket read into
+//!   the session layer ([`crate::session`]) as one burst; protocol
+//!   errors are answered with an error frame and — when fatal
+//!   ([`lbq_proto::ErrorCode::is_fatal`]) — tear the connection down;
+//! * the **writer** owns the socket's write half and drains the
+//!   connection's whole outbound queue into one `write_all` per
+//!   wake-up; marking the connection *closing* makes the writer flush
+//!   what is queued and then shut the socket down, so an error frame
+//!   always reaches the peer before the FIN.
 //!
 //! A clean client EOF (peer finished sending) does **not** drop
 //! in-flight requests: the connection lingers until its last response
@@ -34,6 +35,10 @@ use std::time::Instant;
 /// Read-buffer chunk size of a connection reader.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Cap on the buffer a writer merges queued frames into before each
+/// `write_all` (bounds per-connection memory under a response backlog).
+const WRITE_MERGE_CAP: usize = 256 * 1024;
+
 /// One accepted connection: the socket plus the outbound queue shared
 /// between its reader, its writer, and the dispatcher.
 pub(crate) struct Conn {
@@ -53,7 +58,7 @@ struct OutQueue {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             out: Mutex::new(OutQueue {
@@ -88,12 +93,12 @@ impl Conn {
         self.cvar.notify_all();
     }
 
-    /// Called by the dispatcher once a request's response is queued
-    /// (or dropped): returns the in-flight budget slot, and completes a
-    /// lingering clean-EOF close when this was the last outstanding
-    /// request.
-    pub(crate) fn finish_request(&self) {
-        let left = self.inflight.fetch_sub(1, Ordering::AcqRel) - 1;
+    /// Called by the dispatcher once the responses of `n` requests are
+    /// queued (or dropped): returns their in-flight budget slots, and
+    /// completes a lingering clean-EOF close when they were the last
+    /// outstanding requests.
+    pub(crate) fn finish_requests(&self, n: usize) {
+        let left = self.inflight.fetch_sub(n, Ordering::AcqRel) - n;
         if left == 0 && self.eof.load(Ordering::Acquire) {
             self.close();
         }
@@ -155,11 +160,9 @@ impl NetServer {
         let dispatcher = {
             let engine = Arc::clone(&engine);
             let injector = Arc::clone(&shared.injector);
-            let window = cfg.coalesce_window;
-            let max_batch = cfg.max_batch;
             std::thread::Builder::new()
                 .name("lbq-net-session".into())
-                .spawn(move || dispatch_loop(engine, injector, window, max_batch))?
+                .spawn(move || dispatch_loop(engine, injector, cfg))?
         };
         let accept = {
             let shared = Arc::clone(&shared);
@@ -290,37 +293,46 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// The writer half: drains the outbound queue onto the socket; once the
-/// connection is closing and the queue is empty, shuts the socket down.
-/// Owns the active-connection gauge decrement (runs exactly once per
-/// connection).
+/// The writer half: takes the whole outbound queue per wake-up and
+/// writes it merged; once the connection is closing and the queue is
+/// empty, shuts the socket down. Owns the active-connection gauge
+/// decrement (runs exactly once per connection).
 fn writer_loop(conn: Arc<Conn>, mut stream: TcpStream, active: lbq_obs::Gauge) {
     loop {
-        let next = {
+        let taken = {
             let mut out = conn.out.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(b) = out.queue.pop_front() {
-                    break Some(b);
-                }
-                if out.closing {
-                    break None;
-                }
+            while out.queue.is_empty() && !out.closing {
                 out = conn.cvar.wait(out).unwrap_or_else(|e| e.into_inner());
             }
+            std::mem::take(&mut out.queue)
         };
-        match next {
-            Some(bytes) => {
-                if stream.write_all(&bytes).is_err() {
-                    conn.close();
-                    break;
-                }
-            }
-            None => break,
+        if taken.is_empty() {
+            break; // closing and flushed
+        }
+        if write_merged(&mut stream, taken).is_err() {
+            conn.close();
+            break;
         }
     }
     let _ = stream.flush();
     let _ = stream.shutdown(Shutdown::Both);
     active.add(-1);
+}
+
+/// Writes `queue` in order, neighbours merged into as few `write_all`
+/// calls as [`WRITE_MERGE_CAP`] allows (a lone buffer is not copied).
+fn write_merged(stream: &mut TcpStream, mut queue: VecDeque<Vec<u8>>) -> std::io::Result<()> {
+    let Some(mut merged) = queue.pop_front() else {
+        return Ok(());
+    };
+    for next in queue {
+        if merged.len() + next.len() > WRITE_MERGE_CAP {
+            stream.write_all(&merged)?;
+            merged.clear();
+        }
+        merged.extend_from_slice(&next);
+    }
+    stream.write_all(&merged)
 }
 
 /// The reader half: buffered frame decoding, validation, and injection.
@@ -336,17 +348,19 @@ fn reader_loop(conn: Arc<Conn>, shared: Arc<Shared>) {
     };
     let mut buf: Vec<u8> = Vec::with_capacity(READ_CHUNK);
     let mut chunk = [0u8; READ_CHUNK];
-    'conn: loop {
+    // The requests of one socket read, injected as one burst.
+    let mut burst: Vec<Pending> = Vec::new();
+    loop {
         // Decode every complete frame currently buffered.
         let mut consumed = 0;
-        loop {
+        let mut fatal = false;
+        while !fatal {
             match decode_frame(&buf[consumed..], shared.cfg.max_request_payload) {
                 Ok(Decoded::Frame { frame, consumed: n }) => {
                     consumed += n;
                     frames_in.add(1);
-                    if !handle_frame(&conn, &shared, frame, &proto_errors) {
-                        break 'conn; // fatal: teardown (error frame already queued)
-                    }
+                    // On a fatal frame the error frame is already queued.
+                    fatal = !handle_frame(&conn, &shared, frame, &proto_errors, &mut burst);
                 }
                 Ok(Decoded::Unknown {
                     frame_type,
@@ -369,9 +383,13 @@ fn reader_loop(conn: Arc<Conn>, shared: Arc<Shared>) {
                     // Framing is broken: report and tear down.
                     proto_errors.add(1);
                     conn.send_bytes(encode_error(0, e.code, e.detail));
-                    break 'conn;
+                    fatal = true;
                 }
             }
+        }
+        shared.injector.push_all(&mut burst);
+        if fatal {
+            break;
         }
         buf.drain(..consumed);
         match stream.read(&mut chunk) {
@@ -384,19 +402,20 @@ fn reader_loop(conn: Arc<Conn>, shared: Arc<Shared>) {
                 return;
             }
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break 'conn,
+            Err(_) => break,
         }
     }
     conn.close();
 }
 
-/// Handles one decoded frame on the server side. Returns `false` when
-/// the connection must be torn down.
+/// Handles one decoded frame on the server side: a valid request joins
+/// `burst`. Returns `false` when the connection must be torn down.
 fn handle_frame(
     conn: &Arc<Conn>,
     shared: &Arc<Shared>,
     frame: Frame,
     proto_errors: &lbq_obs::Counter,
+    burst: &mut Vec<Pending>,
 ) -> bool {
     if let Err(e) = validate_request(&frame) {
         proto_errors.add(1);
@@ -421,7 +440,7 @@ fn handle_frame(
         ));
         return false;
     }
-    shared.injector.push(Pending {
+    burst.push(Pending {
         conn: Arc::clone(conn),
         request_id,
         req,

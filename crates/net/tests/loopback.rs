@@ -162,6 +162,63 @@ fn multi_connection_pipelined_coalescing() {
     drop(net); // shutdown-on-drop with already-drained connections
 }
 
+/// Timer-free dispatch with burst-sized hand-offs: each of 8
+/// connections sends its whole pipeline as ONE write, so the reader
+/// injects it as one burst, the dispatcher encodes each connection's
+/// batch-adjacent responses into one buffer and the writer merges what
+/// is queued — and every response must still be, byte for byte, the
+/// in-process encoding of the in-process answer.
+#[test]
+fn pipelined_bursts_stay_byte_identical_with_merged_writes() {
+    const PER_CONN: u64 = 60;
+    let server = make_server(600, 23);
+    // tile_size 8: bursts cross the inline/pooled split both ways.
+    let net = NetServer::bind("127.0.0.1:0", make_engine(&server, 2), NetConfig::default())
+        .expect("bind");
+    assert_eq!(NetConfig::default().coalesce_window, Duration::ZERO);
+    let addr = net.local_addr();
+    let frames_out = lbq_obs::counter("net-frames-out");
+    let queue_wait = lbq_obs::histogram("net-queue-wait");
+    let (frames_before, waits_before) = (frames_out.get(), queue_wait.count());
+    let handles: Vec<_> = (0..8u64)
+        .map(|c| {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                let mut rng = Xoshiro256ss::seed_from_u64(2000 + c);
+                let mut client = NetClient::connect(addr).expect("connect");
+                let reqs: Vec<(u64, QueryReq)> = (0..PER_CONN)
+                    .map(|i| (c << 32 | i, rand_query(&mut rng)))
+                    .collect();
+                let mut pipeline = Vec::new();
+                for (id, req) in &reqs {
+                    lbq_proto::encode_frame(&lbq_proto::query_request(*id, req), &mut pipeline)
+                        .expect("encode");
+                }
+                client.send_raw(&pipeline).expect("send");
+                let mut seen = std::collections::HashMap::new();
+                for _ in 0..reqs.len() {
+                    let (frame, raw) = client.recv_raw().expect("recv");
+                    seen.insert(frame.request_id(), (frame_query_id(&frame), raw));
+                }
+                assert_eq!(seen.len(), reqs.len());
+                for (id, req) in &reqs {
+                    let (qid, raw) = &seen[id];
+                    assert_eq!(raw, &expected_bytes(&server, req, *id, *qid));
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("client thread");
+    }
+    // `net-frames-out` counts frames, not (merged) writes, and every
+    // request's queue wait is recorded. Other tests of this binary
+    // share the registry, hence lower bounds.
+    assert!(frames_out.get() - frames_before >= 8 * PER_CONN);
+    assert!(queue_wait.count() - waits_before >= 8 * PER_CONN);
+    drop(net);
+}
+
 #[test]
 fn malformed_frame_answers_then_tears_down() {
     let server = make_server(100, 33);

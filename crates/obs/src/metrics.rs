@@ -169,38 +169,59 @@ impl Histogram {
         self.0.sum_ns.load(Ordering::Relaxed)
     }
 
+    /// Copies the live buckets once; returns the copy and its total.
+    /// Everything derived from one copy is mutually consistent however
+    /// many `record_ns` calls race the read.
+    fn snapshot(&self) -> ([u64; HISTOGRAM_BUCKETS], u64) {
+        let mut copy = [0u64; HISTOGRAM_BUCKETS];
+        let mut count = 0u64;
+        for (c, b) in copy.iter_mut().zip(&self.0.buckets) {
+            *c = b.load(Ordering::Relaxed);
+            count += *c;
+        }
+        (copy, count)
+    }
+
     /// Estimated value at quantile `q` in `[0, 1]`: the upper bound of
     /// the bucket containing that rank (0 when empty). Overestimates by
     /// at most 25% of the true value (typically ~10%).
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        // lbq-check: allow(lossy-cast) — rank ≤ count by construction
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.0.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper(i);
-            }
-        }
-        bucket_upper(HISTOGRAM_BUCKETS - 1)
+        let (buckets, count) = self.snapshot();
+        quantile_of(&buckets, count, q)
     }
 
-    /// Point-in-time p50/p95/p99/mean summary.
+    /// Point-in-time p50/p95/p99/mean summary. `count` and the three
+    /// quantiles come from one copy of the buckets, so they are ordered
+    /// (p50 ≤ p95 ≤ p99) even while other threads record; `mean_ns` is
+    /// the live sum over that count.
     pub fn summary(&self) -> HistogramSummary {
-        let count = self.count();
+        let (buckets, count) = self.snapshot();
         let sum = self.0.sum_ns.load(Ordering::Relaxed);
         HistogramSummary {
             count,
-            p50_ns: self.quantile_ns(0.50),
-            p95_ns: self.quantile_ns(0.95),
-            p99_ns: self.quantile_ns(0.99),
+            p50_ns: quantile_of(&buckets, count, 0.50),
+            p95_ns: quantile_of(&buckets, count, 0.95),
+            p99_ns: quantile_of(&buckets, count, 0.99),
             mean_ns: if count == 0 { 0 } else { sum / count },
         }
     }
+}
+
+/// Quantile `q` of a bucket copy holding `count` samples in total.
+fn quantile_of(buckets: &[u64; HISTOGRAM_BUCKETS], count: u64, q: f64) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    // lbq-check: allow(lossy-cast) — rank ≤ count by construction
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, b) in buckets.iter().enumerate() {
+        seen += b;
+        if seen >= rank {
+            return bucket_upper(i);
+        }
+    }
+    bucket_upper(HISTOGRAM_BUCKETS - 1)
 }
 
 /// A copyable snapshot of a [`Histogram`].

@@ -49,6 +49,47 @@ fn histogram_records_race_snapshots_without_loss() {
     assert_eq!(h.summary().count, THREADS * PER, "records lost in the race");
 }
 
+/// Regression (ROADMAP 1a): `summary()` used to walk the live buckets
+/// once per quantile, each walk with a fresh `count`. A flood of low
+/// samples landing between two walks then gave p50 (walked first, saw
+/// only the lone high sample) above p95 (walked later, saw the flood).
+/// The race is widest when the histogram is nearly empty, so every
+/// round starts one from a single high sample.
+#[test]
+fn histogram_summary_is_one_consistent_snapshot() {
+    const ROUNDS: usize = 2_000;
+    const LOWS: u64 = 64;
+    for round in 0..ROUNDS {
+        let h = lbq_obs::Histogram::new();
+        h.record_ns(1_000_000);
+        let go = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !go.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                for _ in 0..LOWS {
+                    h.record_ns(1);
+                }
+            });
+            go.store(true, Ordering::Release);
+            let mut last = 0u64;
+            loop {
+                let s = h.summary();
+                assert!(
+                    s.p50_ns <= s.p95_ns && s.p95_ns <= s.p99_ns,
+                    "round {round}: quantiles out of order in {s:?}"
+                );
+                assert!(s.count >= last, "round {round}: count went backwards");
+                last = s.count;
+                if s.count == LOWS + 1 {
+                    break;
+                }
+            }
+        });
+    }
+}
+
 #[test]
 fn recorder_wraparound_under_concurrent_readers() {
     let rec = lbq_obs::init_recorder(RecorderConfig {

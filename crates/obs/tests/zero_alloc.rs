@@ -1,35 +1,11 @@
-//! Asserts the no-subscriber fast path performs zero heap allocations.
-//!
-//! Uses a counting global allocator, which requires `unsafe` to
-//! implement `GlobalAlloc`; the workspace denies `unsafe_code` via a
-//! Cargo lint (a CLI `-D`), which this crate-level `allow` overrides
-//! for this test binary only. The shim lives here, in its own
-//! integration-test binary, so no other test's allocations interfere.
-#![allow(unsafe_code)]
+//! Asserts the no-subscriber fast path performs zero heap allocations,
+//! counted per thread by the shared allocator shim in
+//! `support/counting_alloc.rs` (cargo runs the two tests below on
+//! parallel threads; each sees only its own allocations).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 #[test]
 fn no_subscriber_path_allocates_nothing() {
@@ -40,7 +16,7 @@ fn no_subscriber_path_allocates_nothing() {
         s.record("k", 1u64);
         lbq_obs::event("warmup-event");
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..1_000u64 {
         let mut s = lbq_obs::span("rtree-knn");
         s.record("k", i);
@@ -48,7 +24,7 @@ fn no_subscriber_path_allocates_nothing() {
         lbq_obs::event_with("tpnn-iteration", [("vertices", lbq_obs::Value::U64(i))]);
         drop(s);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -82,7 +58,7 @@ fn disabled_recording_paths_allocate_nothing() {
         heat.record(3, 1);
         let _ = lbq_obs::histogram("warmup-histogram");
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..1_000u64 {
         // The per-query instrumentation the serve hot path runs with
         // recording off — plus the primitives that stay allocation-free
@@ -95,7 +71,7 @@ fn disabled_recording_paths_allocate_nothing() {
         // Cached registry lookup (the TLS handle cache, post-warmup).
         let _ = lbq_obs::histogram("warmup-histogram");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

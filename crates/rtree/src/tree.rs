@@ -101,6 +101,7 @@ impl RTree {
 
     /// Tree height: number of levels (1 for a root-only tree).
     pub fn height(&self) -> u32 {
+        // lbq-check: allow(hot-panic) — `root` always indexes a live node; on the no-panic graph only because `Rect::height` aliases this name
         self.nodes[idx(self.root)].level + 1
     }
 

@@ -19,6 +19,17 @@
 //!
 //! Responses are un-permuted before `submit` returns: output order is
 //! request order, exactly as with per-query dispatch.
+//!
+//! ## Inline single-tile submits
+//!
+//! A batch of at most [`EngineConfig::tile_size`] requests is one tile
+//! — one pool job — whichever way it is dispatched, so `submit` serves
+//! it on the **calling thread** with a thread-local scratch: no
+//! `Batch` countdown, no pool queue, no condvar round trips. This is
+//! the regime the timer-free `lbq-net` dispatcher lives in (it submits
+//! whatever is queued the moment it is free, mostly a handful of
+//! requests). Same tiling, same tiers, same responses; accounting goes
+//! to one extra [`WorkerSummary`] slot, index [`Engine::workers`].
 
 use crate::cache::{CacheConfig, RegionCache};
 use crate::hot::{HotConfig, HotIndex, HotScratch, HotStats, HotTile};
@@ -29,6 +40,7 @@ use lbq_geom::Point;
 use lbq_obs::{CacheTier, HistogramSummary, QueryEvent, QueryKind, StageNanos};
 use lbq_rtree::hilbert::{hilbert_key, KEY_ORDER};
 use lbq_rtree::{Item, QueryScratch, Stats};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -86,7 +98,9 @@ struct WorkerStats {
 /// A point-in-time copy of one worker's counters, for reporting.
 #[derive(Debug, Clone)]
 pub struct WorkerSummary {
-    /// Worker index (thread `lbq-serve-<worker>`).
+    /// Worker index (thread `lbq-serve-<worker>`); index
+    /// [`Engine::workers`] is the inline slot — single-tile batches
+    /// served on their submitting threads.
     pub worker: usize,
     /// Requests served.
     pub jobs: u64,
@@ -106,27 +120,50 @@ struct Batch {
     done_lock: Mutex<bool>,
 }
 
-/// The concurrent batched query engine. See the crate docs for the
-/// architecture; construction is [`Engine::new`], the entry point is
-/// [`Engine::submit`].
+/// Everything a tile needs to be served, shared between `submit` and
+/// the pool jobs of its batches.
 #[derive(Debug)]
-pub struct Engine {
+struct Core {
     server: Arc<LbqServer>,
-    cache: Arc<RegionCache>,
-    pool: Pool,
-    stats: Arc<Vec<WorkerStats>>,
-    batch_latency: lbq_obs::Histogram,
-    tile_size: usize,
-    tile_occupancy: lbq_obs::Histogram,
-    /// Monotonic id source: `submit` claims one id per request, in
-    /// request order, so ids are stable across tiling and scheduling.
-    next_query_id: AtomicU64,
+    cache: RegionCache,
+    /// One slot per pool worker plus the inline slot (last).
+    stats: Vec<WorkerStats>,
+    latency: lbq_obs::Histogram,
+    occupancy: lbq_obs::Histogram,
     /// Per-Hilbert-tile hit/latency counters (`serve-tile-heat`),
     /// fed on the recording path only.
     heat: lbq_obs::Heatmap,
     /// The hot-tile Voronoi index; `None` when the tier is disabled,
     /// so the disabled serve path carries zero hot-tier work.
-    hot: Option<Arc<HotIndex>>,
+    hot: Option<HotIndex>,
+}
+
+/// The concurrent batched query engine. See the crate docs for the
+/// architecture; construction is [`Engine::new`], the entry point is
+/// [`Engine::submit`].
+#[derive(Debug)]
+pub struct Engine {
+    core: Arc<Core>,
+    pool: Pool,
+    tile_size: usize,
+    /// Monotonic id source: `submit` claims one id per request, in
+    /// request order, so ids are stable across tiling and scheduling.
+    next_query_id: AtomicU64,
+}
+
+/// The submitting thread's buffers for inline single-tile serving: the
+/// same scratch pair a pool worker owns, plus the tile and response
+/// staging a pool job allocates per batch.
+#[derive(Default)]
+struct InlineScratch {
+    query: QueryScratch,
+    hot: HotScratch,
+    tile: Vec<(usize, QueryReq)>,
+    out: Vec<(usize, QueryResp)>,
+}
+
+thread_local! {
+    static INLINE: RefCell<InlineScratch> = RefCell::default();
 }
 
 // Compile-time proof that the engine can be shared across submitting
@@ -141,30 +178,29 @@ impl Engine {
     /// Builds an engine over `server` with `config` workers and cache.
     pub fn new(server: Arc<LbqServer>, config: EngineConfig) -> Self {
         let pool = Pool::new(config.workers);
-        let stats = Arc::new(
-            (0..pool.workers())
-                .map(|_| WorkerStats::default())
-                .collect::<Vec<_>>(),
-        );
-        let cache = Arc::new(RegionCache::new(server.universe(), config.cache));
+        let cache = RegionCache::new(server.universe(), config.cache);
         let hot = config
             .hot
             .is_enabled()
-            .then(|| Arc::new(HotIndex::new(config.hot, server.universe())));
+            .then(|| HotIndex::new(config.hot, server.universe()));
         // Static engine geometry, stamped onto exporter snapshots.
         lbq_obs::snapshot_field("serve-config-workers", pool.workers());
         lbq_obs::snapshot_field("serve-config-tile-size", config.tile_size.max(1));
         Engine {
-            server,
-            cache,
+            core: Arc::new(Core {
+                server,
+                cache,
+                stats: (0..=pool.workers())
+                    .map(|_| WorkerStats::default())
+                    .collect(),
+                latency: lbq_obs::histogram("serve-query-latency"),
+                occupancy: lbq_obs::histogram("serve-tile-size"),
+                heat: lbq_obs::heatmap("serve-tile-heat"),
+                hot,
+            }),
             pool,
-            stats,
-            batch_latency: lbq_obs::histogram("serve-query-latency"),
             tile_size: config.tile_size.max(1),
-            tile_occupancy: lbq_obs::histogram("serve-tile-size"),
             next_query_id: AtomicU64::new(0),
-            heat: lbq_obs::heatmap("serve-tile-heat"),
-            hot,
         }
     }
 
@@ -175,18 +211,19 @@ impl Engine {
 
     /// The shared server (tree + universe) the engine answers from.
     pub fn server(&self) -> &Arc<LbqServer> {
-        &self.server
+        &self.core.server
     }
 
     /// The validity-region cache fronting the tree.
     pub fn cache(&self) -> &RegionCache {
-        &self.cache
+        &self.core.cache
     }
 
     /// Point-in-time statistics of the hot-tile Voronoi tier. All-zero
     /// when the tier is disabled ([`HotConfig::disabled`]).
     pub fn hot_stats(&self) -> HotStats {
-        self.hot
+        self.core
+            .hot
             .as_ref()
             .map_or_else(HotStats::default, |h| h.stats())
     }
@@ -196,11 +233,12 @@ impl Engine {
         self.pool.workers()
     }
 
-    /// Serves a batch: fans `reqs` out across the workers and blocks
-    /// until every request is answered. Responses come back in request
+    /// Serves a batch and blocks until every request is answered: a
+    /// batch of at most one tile runs on the calling thread, a larger
+    /// one fans out across the workers. Responses come back in request
     /// order (the Hilbert tiling below is un-permuted before returning).
     /// Window extents must be positive (checked up front, before
-    /// anything is enqueued).
+    /// anything is served).
     pub fn submit(&self, reqs: Vec<QueryReq>) -> Vec<QueryResp> {
         for r in &reqs {
             if let QueryReq::Window { hx, hy, .. } = *r {
@@ -213,39 +251,78 @@ impl Engine {
         }
         let mut span = lbq_obs::span("serve-batch");
         span.record("batch-size", n as u64);
+        // One id per request, claimed in request order: response i of
+        // this batch reports `first_id + i` no matter how the tiling
+        // permutes or which thread serves it.
+        let first_id = self.next_query_id.fetch_add(n as u64, Ordering::Relaxed);
+        let out = if n <= self.tile_size {
+            self.serve_inline(&reqs, first_id)
+        } else {
+            self.serve_pooled(&reqs, first_id)
+        };
+        let hits = out.iter().filter(|r| r.from_cache).count();
+        span.record("cache-hits", hits as u64);
+        record_hit_counters(hits as u64, (n - hits) as u64);
+        out
+    }
+
+    /// Locality tiling: orders `tile` along the Hilbert curve of the
+    /// query foci so each tile covers one small patch of the universe
+    /// (ties keep request order). Tile size 1 keeps submission order —
+    /// exactly the per-query dispatch of the untiled engine.
+    fn hilbert_order(&self, tile: &mut [(usize, QueryReq)]) {
+        if self.tile_size > 1 && tile.len() > 1 {
+            let universe = self.core.server.universe();
+            tile.sort_unstable_by_key(|&(i, r)| (hilbert_key(r.focus(), &universe), i));
+        }
+    }
+
+    /// The single-tile path: serves `reqs` on the calling thread with
+    /// its thread-local scratch. Steady state allocates the returned
+    /// vector and nothing else.
+    // lbq-check: hot — the net dispatcher's steady-state path; scratch-backed like `worker_loop`
+    // lbq-check: no-panic — an unwinding submitter here is the net dispatcher: every connection would hang
+    fn serve_inline(&self, reqs: &[QueryReq], first_id: u64) -> Vec<QueryResp> {
+        INLINE.with(|cell| {
+            // `serve` never re-enters `submit`, so the borrow is free.
+            let mut guard = cell.borrow_mut();
+            let s = &mut *guard;
+            s.tile.clear();
+            s.tile.extend(reqs.iter().copied().enumerate());
+            self.hilbert_order(&mut s.tile);
+            let run = TileRun {
+                core: &self.core,
+                first_id,
+                worker: self.pool.workers(),
+            };
+            s.out.clear();
+            run.serve(&s.tile, &mut s.query, &mut s.hot, &mut s.out);
+            s.out.sort_unstable_by_key(|&(idx, _)| idx);
+            // lbq-check: allow(hot-alloc) — the owned response vector `submit` returns
+            s.out.drain(..).map(|(_, resp)| resp).collect()
+        })
+    }
+
+    /// The multi-tile path: one pool job per tile, then wait for the
+    /// batch countdown.
+    fn serve_pooled(&self, reqs: &[QueryReq], first_id: u64) -> Vec<QueryResp> {
+        let n = reqs.len();
         let batch = Arc::new(Batch {
             results: Mutex::new((0..n).map(|_| None).collect()),
             remaining: AtomicUsize::new(n),
             done: Condvar::new(),
             done_lock: Mutex::new(false),
         });
-        // Locality tiling: order the batch along the Hilbert curve of
-        // the query foci so each tile covers one small patch of the
-        // universe. Tile size 1 keeps submission order — exactly the
-        // per-query dispatch of the untiled engine.
-        let mut order: Vec<usize> = (0..n).collect();
-        if self.tile_size > 1 {
-            let universe = self.server.universe();
-            order.sort_by_key(|&i| hilbert_key(reqs[i].focus(), &universe));
-        }
-        // One id per request, claimed in request order: response i of
-        // this batch reports `first_id + i` no matter how the tiling
-        // permutes or which worker serves it.
-        let first_id = self.next_query_id.fetch_add(n as u64, Ordering::Relaxed);
+        let mut order: Vec<(usize, QueryReq)> = reqs.iter().copied().enumerate().collect();
+        self.hilbert_order(&mut order);
         let jobs: Vec<Job> = order
             .chunks(self.tile_size)
-            .map(|tile_idxs| {
+            .map(|tile| {
                 let job = TileJob {
-                    tile: tile_idxs.iter().map(|&i| (i, reqs[i])).collect(),
-                    server: Arc::clone(&self.server),
-                    cache: Arc::clone(&self.cache),
-                    stats: Arc::clone(&self.stats),
+                    tile: tile.to_vec(),
+                    core: Arc::clone(&self.core),
                     batch: Arc::clone(&batch),
-                    latency: self.batch_latency.clone(),
-                    occupancy: self.tile_occupancy.clone(),
                     first_id,
-                    heat: self.heat.clone(),
-                    hot: self.hot.as_ref().map(Arc::clone),
                 };
                 Box::new(
                     move |worker: usize,
@@ -265,23 +342,25 @@ impl Engine {
         drop(flag);
 
         let mut results = batch.results.lock().unwrap_or_else(|e| e.into_inner());
-        let out: Vec<QueryResp> = results
+        results
             .drain(..)
             .map(|r| {
                 // Remaining hit zero, so every slot was filled by its worker.
                 // lbq-check: allow(no-unwrap-core) — AcqRel countdown proves every slot is Some
                 r.expect("batch slot filled once remaining reaches zero")
             })
-            .collect();
-        let hits = out.iter().filter(|r| r.from_cache).count();
-        span.record("cache-hits", hits as u64);
-        record_hit_counters(hits as u64, (n - hits) as u64);
-        out
+            .collect()
     }
 
-    /// Per-worker accounting snapshots, index-aligned with the threads.
+    /// Per-worker accounting snapshots: entries `0..workers()` are
+    /// index-aligned with the pool threads, and one more entry — the
+    /// last, index [`Engine::workers`] — is the inline slot, so the
+    /// result holds `workers() + 1` entries and its `jobs` add up to
+    /// every request served. Per-thread figures (busy share, imbalance)
+    /// should be taken over `[..workers()]` only.
     pub fn worker_summaries(&self) -> Vec<WorkerSummary> {
-        self.stats
+        self.core
+            .stats
             .iter()
             .enumerate()
             .map(|(worker, ws)| WorkerSummary {
@@ -303,7 +382,11 @@ impl Engine {
         );
         for s in self.worker_summaries() {
             t.row(&[
-                format!("lbq-serve-{}", s.worker),
+                if s.worker == self.workers() {
+                    "lbq-serve-inline".to_string()
+                } else {
+                    format!("lbq-serve-{}", s.worker)
+                },
                 s.jobs.to_string(),
                 s.cache_hits.to_string(),
                 lbq_obs::fmt_ns(s.busy_ns),
@@ -342,24 +425,26 @@ impl Engine {
 }
 
 /// One pool job: a Hilbert-adjacent tile of queries served on one
-/// worker. Cache probes and window misses are answered query by query;
-/// the tile's cache-miss kNN queries are deferred, grouped by `k`, and
-/// answered through the shared-frontier group traversal.
+/// worker.
 struct TileJob {
     /// `(original batch index, request)`, in Hilbert order.
     tile: Vec<(usize, QueryReq)>,
-    server: Arc<LbqServer>,
-    cache: Arc<RegionCache>,
-    stats: Arc<Vec<WorkerStats>>,
+    core: Arc<Core>,
     batch: Arc<Batch>,
-    latency: lbq_obs::Histogram,
-    occupancy: lbq_obs::Histogram,
     /// Query id of the batch's first request (`id = first_id + idx`).
     first_id: u64,
-    /// The engine's hot-tile heatmap, fed on the recording path.
-    heat: lbq_obs::Heatmap,
-    /// The engine's hot-tile Voronoi index (`None` = tier disabled).
-    hot: Option<Arc<HotIndex>>,
+}
+
+/// One tile being served on one thread — a pool worker or, inline, the
+/// submitter. Cache probes and window misses are answered query by
+/// query; the tile's cache-miss kNN queries are deferred, grouped by
+/// `k`, and answered through the shared-frontier group traversal.
+struct TileRun<'a> {
+    core: &'a Core,
+    /// Query id of the batch's first request (`id = first_id + idx`).
+    first_id: u64,
+    /// Accounting slot: the pool worker's index, or `workers()` inline.
+    worker: usize,
 }
 
 /// Recording-path context for one response: everything `respond` needs
@@ -379,9 +464,13 @@ struct Attribution {
 
 impl TileJob {
     fn run(self, worker: usize, scratch: &mut QueryScratch, hot_scratch: &mut HotScratch) {
-        self.occupancy.record_value(self.tile.len() as u64);
-        let out = self.serve(worker, scratch, hot_scratch);
-        debug_assert_eq!(out.len(), self.tile.len());
+        let run = TileRun {
+            core: &self.core,
+            first_id: self.first_id,
+            worker,
+        };
+        let mut out = Vec::with_capacity(self.tile.len());
+        run.serve(&self.tile, scratch, hot_scratch, &mut out);
         {
             let mut results = self.batch.results.lock().unwrap_or_else(|e| e.into_inner());
             for (idx, resp) in out {
@@ -400,31 +489,38 @@ impl TileJob {
             self.batch.done.notify_all();
         }
     }
+}
 
-    /// Answers every query of the tile, returning `(original index,
-    /// response)` pairs.
+impl TileRun<'_> {
+    /// Answers every query of `tile`, appending `(original index,
+    /// response)` pairs to `out`.
+    // lbq-check: cold — propagation boundary, as the boxed job is for `worker_loop`: misses build owned responses (allocate by design); hits are pinned allocation-free at runtime by tests/inline_alloc.rs
     fn serve(
         &self,
-        worker: usize,
+        tile: &[(usize, QueryReq)],
         scratch: &mut QueryScratch,
         hot_scratch: &mut HotScratch,
-    ) -> Vec<(usize, QueryResp)> {
+        out: &mut Vec<(usize, QueryResp)>,
+    ) {
+        let Core {
+            server, cache, hot, ..
+        } = self.core;
+        self.core.occupancy.record_value(tile.len() as u64);
         let recording = lbq_obs::recording();
         if recording {
             // Discard stage time stranded on this thread by a
             // mid-flight recording toggle.
             let _ = lbq_obs::take_stages();
         }
-        let mut out: Vec<(usize, QueryResp)> = Vec::with_capacity(self.tile.len());
         // Hot-tier hits and cache probes resolve in place, as do window
         // misses; kNN misses are deferred so the tile can answer them as
         // a group — each stashing the stage time of its probes and the
         // hot tile (if promoted) it should memoize its fresh answer into.
         let mut knn_miss: Vec<(usize, Point, usize, StageNanos, Option<Arc<HotTile>>)> = Vec::new();
-        for &(idx, req) in &self.tile {
+        for &(idx, req) in tile {
             let start = Instant::now();
             let before = if recording {
-                self.server.tree().stats()
+                server.tree().stats()
             } else {
                 Stats::default()
             };
@@ -433,9 +529,9 @@ impl TileJob {
             // memoized-cell lookup. Any failure degrades silently to
             // the ordinary path below.
             let mut hot_tile: Option<Arc<HotTile>> = None;
-            if let (Some(hot), QueryReq::Knn { q, k }) = (&self.hot, req) {
+            if let (Some(hot), QueryReq::Knn { q, k }) = (hot, req) {
                 let _probe = lbq_obs::stage_timer(lbq_obs::Stage::HotLookup);
-                if let Some(tile) = hot.probe(hot.tile_of(q), &self.server) {
+                if let Some(tile) = hot.probe(hot.tile_of(q), server) {
                     match tile.lookup(q, k, hot_scratch) {
                         Some(answer) => {
                             hot.record_hit();
@@ -445,14 +541,13 @@ impl TileJob {
                                 req,
                                 tier: CacheTier::HotVoronoi,
                                 stages: lbq_obs::take_stages(),
-                                accesses: self.server.tree().stats().delta_since(before),
+                                accesses: server.tree().stats().delta_since(before),
                             });
                             out.push((
                                 idx,
                                 self.respond(
                                     answer,
                                     CacheTier::HotVoronoi,
-                                    worker,
                                     elapsed_ns(start),
                                     idx,
                                     attr,
@@ -470,7 +565,7 @@ impl TileJob {
             }
             let hit = {
                 let _probe = lbq_obs::stage_timer(lbq_obs::Stage::CacheLookup);
-                self.cache.lookup(&req)
+                cache.lookup(&req)
             };
             match hit {
                 Some(hit) => {
@@ -478,11 +573,11 @@ impl TileJob {
                         req,
                         tier: CacheTier::Cache,
                         stages: lbq_obs::take_stages(),
-                        accesses: self.server.tree().stats().delta_since(before),
+                        accesses: server.tree().stats().delta_since(before),
                     });
                     out.push((
                         idx,
-                        self.respond(hit, CacheTier::Cache, worker, elapsed_ns(start), idx, attr),
+                        self.respond(hit, CacheTier::Cache, elapsed_ns(start), idx, attr),
                     ));
                 }
                 None => match req {
@@ -495,24 +590,17 @@ impl TileJob {
                         knn_miss.push((idx, q, k, probe, hot_tile));
                     }
                     QueryReq::Window { .. } => {
-                        let fresh = Arc::new(answer_on_with(&self.server, &req, scratch));
-                        self.cache.insert(&req, Arc::clone(&fresh));
+                        let fresh = Arc::new(answer_on_with(server, &req, scratch));
+                        cache.insert(&req, Arc::clone(&fresh));
                         let attr = recording.then(|| Attribution {
                             req,
                             tier: CacheTier::Tree,
                             stages: lbq_obs::take_stages(),
-                            accesses: self.server.tree().stats().delta_since(before),
+                            accesses: server.tree().stats().delta_since(before),
                         });
                         out.push((
                             idx,
-                            self.respond(
-                                fresh,
-                                CacheTier::Tree,
-                                worker,
-                                elapsed_ns(start),
-                                idx,
-                                attr,
-                            ),
+                            self.respond(fresh, CacheTier::Tree, elapsed_ns(start), idx, attr),
                         ));
                     }
                 },
@@ -537,13 +625,13 @@ impl TileJob {
                 let req = QueryReq::knn(q, k);
                 let start = Instant::now();
                 let before = if recording {
-                    self.server.tree().stats()
+                    server.tree().stats()
                 } else {
                     Stats::default()
                 };
-                let fresh = Arc::new(answer_on_with(&self.server, &req, scratch));
-                self.cache.insert(&req, Arc::clone(&fresh));
-                if let (Some(hot), Some(tile)) = (&self.hot, hot_tile) {
+                let fresh = Arc::new(answer_on_with(server, &req, scratch));
+                cache.insert(&req, Arc::clone(&fresh));
+                if let (Some(hot), Some(tile)) = (hot, hot_tile) {
                     hot.memoize(tile, k, &fresh);
                 }
                 let attr = recording.then(|| Attribution {
@@ -552,11 +640,11 @@ impl TileJob {
                     // The stashed probe time plus this query's own
                     // tree traversal.
                     stages: probe.saturating_add(lbq_obs::take_stages()),
-                    accesses: self.server.tree().stats().delta_since(before),
+                    accesses: server.tree().stats().delta_since(before),
                 });
                 out.push((
                     idx,
-                    self.respond(fresh, CacheTier::Tree, worker, elapsed_ns(start), idx, attr),
+                    self.respond(fresh, CacheTier::Tree, elapsed_ns(start), idx, attr),
                 ));
                 continue;
             }
@@ -566,15 +654,15 @@ impl TileJob {
             let points: Vec<Point> = group.iter().map(|&j| knn_miss[j].1).collect();
             let t_group = Instant::now();
             let before = if recording {
-                self.server.tree().stats()
+                server.tree().stats()
             } else {
                 Stats::default()
             };
-            let stride = k.min(self.server.tree().len());
+            let stride = k.min(server.tree().len());
             let results: Vec<Vec<Item>> = if stride == 0 {
                 vec![Vec::new(); points.len()]
             } else {
-                self.server
+                server
                     .tree()
                     .knn_group_in(&points, k, scratch)
                     .chunks(stride)
@@ -589,13 +677,11 @@ impl TileJob {
             // traversals served every member at once; amortize their
             // cost evenly across the group for per-query latency — and
             // for stage attribution and tree-access deltas alike.
-            let resps = self
-                .server
-                .knn_responses_from_results_group_in(&points, results, scratch);
+            let resps = server.knn_responses_from_results_group_in(&points, results, scratch);
             let members = group.len() as u64;
             let shared_ns = elapsed_ns(t_group) / members;
             let (shared_stages, shared_accesses) = if recording {
-                let d = self.server.tree().stats().delta_since(before);
+                let d = server.tree().stats().delta_since(before);
                 (
                     lbq_obs::take_stages().amortized(members),
                     Stats {
@@ -610,8 +696,8 @@ impl TileJob {
                 let (idx, q, _, probe, ref hot_tile) = knn_miss[j];
                 let fresh = Arc::new(QueryAnswer::Knn(resp));
                 let req = QueryReq::knn(q, k);
-                self.cache.insert(&req, Arc::clone(&fresh));
-                if let (Some(hot), Some(tile)) = (&self.hot, hot_tile) {
+                cache.insert(&req, Arc::clone(&fresh));
+                if let (Some(hot), Some(tile)) = (hot, hot_tile) {
                     hot.memoize(tile, k, &fresh);
                 }
                 let attr = recording.then(|| Attribution {
@@ -622,11 +708,10 @@ impl TileJob {
                 });
                 out.push((
                     idx,
-                    self.respond(fresh, CacheTier::TreeGroup, worker, shared_ns, idx, attr),
+                    self.respond(fresh, CacheTier::TreeGroup, shared_ns, idx, attr),
                 ));
             }
         }
-        out
     }
 
     /// Builds one response and feeds the per-worker + global accounting
@@ -638,26 +723,27 @@ impl TileJob {
         &self,
         answer: Arc<QueryAnswer>,
         tier: CacheTier,
-        worker: usize,
         elapsed: u64,
         idx: usize,
         attr: Option<Attribution>,
     ) -> QueryResp {
         let from_cache = tier == CacheTier::Cache;
-        let ws = &self.stats[worker];
+        let core = self.core;
+        let worker = self.worker;
+        let ws = &core.stats[worker];
         ws.jobs.fetch_add(1, Ordering::Relaxed);
         ws.cache_hits
             .fetch_add(u64::from(from_cache), Ordering::Relaxed);
         ws.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
         ws.latency.record_ns(elapsed);
-        self.latency.record_ns(elapsed);
+        core.latency.record_ns(elapsed);
         let query_id = self.first_id + idx as u64;
         let stages = attr.as_ref().map_or_else(StageNanos::default, |a| a.stages);
         if let Some(a) = attr {
-            let universe = self.server.universe();
+            let universe = core.server.universe();
             let tile =
                 lbq_obs::Heatmap::tile_of_key(hilbert_key(a.req.focus(), &universe), 2 * KEY_ORDER);
-            self.heat.record(tile, elapsed);
+            core.heat.record(tile, elapsed);
             let (kind, k) = match a.req {
                 QueryReq::Knn { k, .. } => (QueryKind::Knn, sat32(k as u64)),
                 QueryReq::Window { .. } => (QueryKind::Window, 0),
@@ -852,5 +938,164 @@ mod tests {
         assert_eq!(hits, resps.iter().filter(|r| r.from_cache).count() as u64);
         let table = engine.profile_table().render();
         assert!(table.contains("lbq-serve-0"));
+        // 30 requests at tile size 32: one tile, served inline.
+        assert!(table.contains("lbq-serve-inline"));
+        assert_eq!(summaries[engine.workers()].jobs, 30);
+    }
+
+    /// What one submitter saw of one response: result ids, tier, and
+    /// the query id's offset inside its batch.
+    type Seen = (Vec<u64>, CacheTier, u64);
+
+    /// Centre of submitter `t`'s quadrant of a 40 × 40 universe — the
+    /// middle of a hot tile (the hot grid is 64 × 64, 0.625 a side).
+    fn quadrant_centre(t: u64) -> (f64, f64) {
+        (
+            10.3125 + 20.0 * (t % 2) as f64,
+            10.3125 + 20.0 * (t / 2) as f64,
+        )
+    }
+
+    /// Four concurrent submitters, each confined to its own quadrant
+    /// (so cache and hot-tier state — hence tiers — do not depend on
+    /// how the threads interleave), each sending batches of every size
+    /// `1..=tile_size`. Returns what each thread saw, the `worker`
+    /// stamps, and every query id handed out.
+    fn quadrant_storm(
+        engine: &Engine,
+        submit: impl Fn(&Engine, Vec<QueryReq>) -> Vec<QueryResp> + Sync,
+    ) -> (Vec<Vec<Seen>>, Vec<usize>, Vec<u64>) {
+        let start = std::sync::Barrier::new(4);
+        let per_thread: Vec<(Vec<Seen>, Vec<usize>, Vec<u64>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (start, submit) = (&start, &submit);
+                    scope.spawn(move || {
+                        let mut rng = lbq_rng::Xoshiro256ss::seed_from_u64(900 + t);
+                        let (cx, cy) = quadrant_centre(t);
+                        let (mut seen, mut workers, mut ids) = (Vec::new(), Vec::new(), Vec::new());
+                        start.wait();
+                        for _round in 0..3 {
+                            for n in 1..=engine.tile_size() {
+                                let reqs: Vec<QueryReq> = (0..n)
+                                    .map(|i| {
+                                        let p = Point::new(
+                                            cx + rng.gen_range(-0.1..0.1),
+                                            cy + rng.gen_range(-0.1..0.1),
+                                        );
+                                        if i % 3 == 2 {
+                                            QueryReq::window(p, 0.05, 0.03)
+                                        } else {
+                                            QueryReq::knn(p, 1 + 2 * (i % 2))
+                                        }
+                                    })
+                                    .collect();
+                                let resps = submit(engine, reqs);
+                                assert_eq!(resps.len(), n);
+                                for r in &resps {
+                                    let offset = r.query_id - resps[0].query_id;
+                                    seen.push((r.answer.result_ids(), r.tier, offset));
+                                    workers.push(r.worker);
+                                    ids.push(r.query_id);
+                                }
+                            }
+                        }
+                        (seen, workers, ids)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("submitter"))
+                .collect()
+        });
+        let mut out = (Vec::new(), Vec::new(), Vec::new());
+        for (seen, workers, ids) in per_thread {
+            out.0.push(seen);
+            out.1.extend(workers);
+            out.2.extend(ids);
+        }
+        out
+    }
+
+    #[test]
+    fn inline_tiles_match_the_pooled_path_under_concurrent_submitters() {
+        let make = || {
+            let universe = Rect::new(0.0, 0.0, 40.0, 40.0);
+            // A dense 20 × 20 patch of sites around each quadrant centre
+            // (a promoted tile needs enough local sites to be sound),
+            // skewed off the lattice so k-th-rank distance ties are rare.
+            let items: Vec<Item> = (0..1600u64)
+                .map(|i| {
+                    let (cx, cy) = quadrant_centre(i / 400);
+                    let (col, row) = ((i % 400) % 20, (i % 400) / 20);
+                    let skew = 0.001 * ((i * 7) % 5) as f64;
+                    Item::new(
+                        Point::new(
+                            cx - 0.19 + 0.02 * col as f64 + skew,
+                            cy - 0.19 + 0.02 * row as f64 - skew,
+                        ),
+                        i,
+                    )
+                })
+                .collect();
+            let server = Arc::new(LbqServer::new(
+                RTree::bulk_load(items, RTreeConfig::tiny()),
+                universe,
+            ));
+            Engine::new(
+                server,
+                EngineConfig {
+                    workers: 2,
+                    tile_size: 8,
+                    // No evictions, early promotion: every tier shows up
+                    // and none depends on a neighbour quadrant.
+                    cache: CacheConfig {
+                        per_shard: 4096,
+                        ..CacheConfig::default()
+                    },
+                    hot: HotConfig {
+                        promote_after: 8,
+                        ..HotConfig::default()
+                    },
+                },
+            )
+        };
+        let (inline, pooled) = (make(), make());
+        let (seen_inline, workers_inline, mut ids) =
+            quadrant_storm(&inline, |e, reqs| e.submit(reqs));
+        let (seen_pooled, workers_pooled, _) = quadrant_storm(&pooled, |e, reqs| {
+            let first_id = e
+                .next_query_id
+                .fetch_add(reqs.len() as u64, Ordering::Relaxed);
+            e.serve_pooled(&reqs, first_id)
+        });
+        // Same result ids, same tiers, query ids in request order.
+        assert_eq!(seen_inline, seen_pooled);
+        let total = ids.len() as u64;
+        assert_eq!(total, 4 * 3 * 36);
+        for thread in &seen_inline {
+            for tier in [
+                CacheTier::Tree,
+                CacheTier::TreeGroup,
+                CacheTier::Cache,
+                CacheTier::HotVoronoi,
+            ] {
+                assert!(thread.iter().any(|s| s.1 == tier), "no {tier:?} response");
+            }
+        }
+        // Ids are unique across the concurrent submitters.
+        ids.sort_unstable();
+        assert_eq!(ids, (0..total).collect::<Vec<u64>>());
+        // Every inline response is stamped with the inline slot, and
+        // that slot alone did the work; the pooled twin never used it.
+        assert!(workers_inline.iter().all(|&w| w == inline.workers()));
+        assert!(workers_pooled.iter().all(|&w| w < pooled.workers()));
+        for (engine, inline_jobs) in [(&inline, total), (&pooled, 0)] {
+            let summaries = engine.worker_summaries();
+            assert_eq!(summaries.len(), engine.workers() + 1);
+            assert_eq!(summaries.iter().map(|s| s.jobs).sum::<u64>(), total);
+            assert_eq!(summaries[engine.workers()].jobs, inline_jobs);
+        }
     }
 }
