@@ -42,20 +42,18 @@ else
 fi
 
 echo "== cargo test"
-cargo test --workspace -q
+# --no-fail-fast: when the known-intermittent lbq-obs recorder test
+# fires, every crate after it still runs and reports.
+cargo test --workspace -q --no-fail-fast
 
 echo "== cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "== serve stress tests"
+echo "== release-build tests (serve stress, cold-path zero-allocation)"
 cargo test --release -q -p lbq-serve --test stress
-
-echo "== serve_sweep smoke"
-out="$(cargo run --release -q -p lbq-bench --bin serve_sweep -- --quick)"
-echo "$out" | grep -q "== lbq-obs profile ==" || {
-    echo "ci: serve_sweep --quick did not print a profile table" >&2
-    exit 1
-}
+# Debug builds clone each region into an invariant trap, so only the
+# release run asserts retrieve_influence_set_in allocation-free.
+cargo test --release -q -p lbq-core --test zero_alloc
 
 echo "== examples (text tracing + profile tables)"
 for ex in quickstart moving_client city_window geofence_region; do
@@ -71,36 +69,6 @@ echo "$out" | grep -q "== lbq-obs profile ==" || {
     exit 1
 }
 
-echo "== pr4 bench smoke (zero-allocation steady state)"
-cargo run --release -q -p lbq-bench --bin pr4_bench -- --quick >/dev/null
-
-echo "== pr4 bench artifact check"
-cargo run --release -q -p lbq-bench --bin pr4_bench -- --check BENCH_PR4.json
-
-echo "== pr5 bench smoke (tiled dispatch + packed-arena equivalence)"
-cargo run --release -q -p lbq-bench --bin pr5_bench -- --quick >/dev/null
-
-echo "== pr5 bench artifact check"
-cargo run --release -q -p lbq-bench --bin pr5_bench -- --check BENCH_PR5.json
-
-echo "== pr7 bench smoke (observability overhead micro-benches)"
-cargo run --release -q -p lbq-bench --bin pr7_bench -- --quick >/dev/null
-
-echo "== pr7 bench artifact check"
-cargo run --release -q -p lbq-bench --bin pr7_bench -- --check BENCH_PR7.json
-
-echo "== pr8 bench smoke (loopback TCP serving)"
-cargo run --release -q -p lbq-bench --bin pr8_bench -- --quick >/dev/null
-
-echo "== pr8 bench artifact check"
-cargo run --release -q -p lbq-bench --bin pr8_bench -- --check BENCH_PR8.json
-
-echo "== pr9 bench smoke (hot-tile Voronoi fast path)"
-cargo run --release -q -p lbq-bench --bin pr9_bench -- --quick >/dev/null
-
-echo "== pr9 bench artifact check"
-cargo run --release -q -p lbq-bench --bin pr9_bench -- --check BENCH_PR9.json
-
 echo "== lbq-benchmark --quick (standalone package: API drift + answer check)"
 # benchmark/ is a package of its own with path dependencies on crates/*;
 # the workspace build above never compiles it. Build and smoke it here
@@ -108,9 +76,6 @@ echo "== lbq-benchmark --quick (standalone package: API drift + answer check)"
 # NetConfig field report.rs prints) fails ci.sh rather than the driver.
 # Exits non-zero on a failed request or a wrong answer.
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --quick >/dev/null
-
-echo "== bench trend (speedup trajectory across all reports)"
-cargo run --release -q -p lbq-bench --bin bench_trend
 
 echo "== loopback_fleet (byte-identical network serving + hotspot tiers)"
 out="$(cargo run --release -q -p lbq-net --example loopback_fleet 2>/dev/null)"
@@ -129,14 +94,6 @@ echo "$out" | grep -q "== lbq-obs profile ==" || {
 
 echo "== serve hot-tier equivalence tests"
 cargo test --release -q -p lbq-serve --test hot
-
-echo "== pr7 serve smoke (exporter schema + slow-query capture)"
-# A live engine under the snapshot exporter: bit-identical results
-# obs-on vs obs-off, an injected pathological query must be captured,
-# and every exported JSONL line must validate against the v1 schema.
-snap="$(mktemp -u).jsonl"
-cargo run --release -q -p lbq-bench --bin pr7_bench -- --serve-smoke "$snap" >/dev/null
-rm -f "$snap"
 
 echo "== moving_fleet under the snapshot exporter"
 snap="$(mktemp -u).jsonl"

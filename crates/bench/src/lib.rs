@@ -19,8 +19,6 @@
 
 pub mod figures;
 pub mod harness;
-pub mod jsonv;
-pub mod legacy;
 pub mod microbench;
 
 pub use harness::{ExpConfig, Table};

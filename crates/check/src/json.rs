@@ -5,8 +5,9 @@
 //! and subtracts its findings (multiset, keyed on rule+file+message so
 //! line drift from unrelated edits does not invalidate the baseline)
 //! before deciding the exit code. Both directions are hand-rolled —
-//! the workspace is std-only, and the subset of JSON needed here
-//! (strings, numbers, arrays, flat objects) is small.
+//! the workspace is std-only. [`parse`] is the workspace's one JSON
+//! reader: the snapshot-exporter tests of `lbq-obs` and `lbq-serve`
+//! read their JSONL through it (as a dev-dependency) too.
 
 use crate::rules::Diagnostic;
 use std::collections::HashMap;
@@ -69,12 +70,7 @@ pub struct BaselineFinding {
 
 /// Parses a findings document produced by [`render`] (or hand-edited).
 pub fn parse_findings(src: &str) -> Result<Vec<BaselineFinding>, String> {
-    let v = Parser {
-        b: src.as_bytes(),
-        i: 0,
-    }
-    .document()?;
-    let Value::Obj(top) = v else {
+    let Value::Obj(top) = parse(src)? else {
         return Err("baseline: top level is not an object".to_string());
     };
     let Some(Value::Arr(items)) = top.get("findings") else {
@@ -134,17 +130,67 @@ pub fn diff_against_baseline(
 
 // ---------------------------------------------------------------------
 // Minimal recursive-descent JSON parser (strings, numbers, bools,
-// null, arrays, objects). Sufficient for baseline documents.
+// null, arrays, objects).
 // ---------------------------------------------------------------------
 
+/// A parsed JSON value; every number is an `f64`.
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
+pub enum Value {
+    /// `null`.
     Null,
+    /// `true` / `false`.
     Bool(bool),
+    /// Any number.
     Num(f64),
+    /// A string, unescaped.
     Str(String),
+    /// An array.
     Arr(Vec<Value>),
+    /// An object.
     Obj(HashMap<String, Value>),
+}
+
+impl Value {
+    /// Object field by key (`None` on non-objects or missing keys).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(fields) => fields.get(key),
+            _ => None,
+        }
+    }
+
+    /// The number payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The element list, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// Parses `src` as one complete JSON value (no trailing bytes).
+pub fn parse(src: &str) -> Result<Value, String> {
+    Parser {
+        b: src.as_bytes(),
+        i: 0,
+    }
+    .document()
 }
 
 struct Parser<'a> {

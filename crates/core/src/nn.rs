@@ -242,7 +242,7 @@ pub fn retrieve_influence_set(
 /// scratch buffers, so in steady state the region hot path performs
 /// zero heap allocations. The returned [`NnValidityRef`] borrows the
 /// scratch; `.to_owned()` it if the region must outlive the next query.
-// lbq-check: hot — static twin of the pr4_bench zero-alloc assertion on this entry point
+// lbq-check: hot — static twin of the `tests/zero_alloc.rs` assertion on this entry point
 pub fn retrieve_influence_set_in<'s>(
     tree: &RTree,
     q: Point,

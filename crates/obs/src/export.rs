@@ -9,7 +9,7 @@
 //! framed by `snapshot` / `snapshot-end` lines and versioned by
 //! [`SNAPSHOT_VERSION`]; every line is a self-describing JSON object
 //! with a `type` field, parseable without a JSON library (schema
-//! round-trip is tested against `lbq-bench`'s hand-rolled parser).
+//! round-trip is tested in `tests/export_schema.rs`).
 //!
 //! [`install_exporter_from_env`] wires this from
 //! `LBQ_OBS_SNAPSHOT=path[,period]` (period like `500ms`, `2s`, or a

@@ -32,11 +32,6 @@
 //!   [`render_snapshot`]): a background thread appending versioned
 //!   JSONL snapshots of all of the above to a file on an interval
 //!   (`LBQ_OBS_SNAPSHOT=path,period`).
-//! - **Allocation counting** ([`note_alloc`], [`alloc_count`],
-//!   [`publish_alloc_gauge`]): a bare-atomic hook for counting global
-//!   allocators (registry metrics allocate on first lookup, so the hot
-//!   hook must bypass them), mirrored into an `alloc-count` gauge on
-//!   demand.
 //! - **Reporting** ([`ProfileTable`], [`render_metrics`]): the single
 //!   end-of-run formatting path used by examples and benches, with a
 //!   greppable `== lbq-obs profile ==` banner.
@@ -62,7 +57,6 @@
 //! assert_eq!(ring.records().len(), 3); // event + two spans
 //! ```
 
-pub mod alloc;
 pub mod export;
 pub mod heatmap;
 pub mod metrics;
@@ -72,7 +66,6 @@ pub mod stage;
 pub mod subscriber;
 pub mod trace;
 
-pub use alloc::{alloc_count, note_alloc, publish_alloc_gauge};
 pub use export::{
     install_exporter, install_exporter_from_env, render_snapshot, snapshot_field, Exporter,
     SNAPSHOT_VERSION,

@@ -1,16 +1,14 @@
 //! Exporter schema round-trip: `lbq_obs::render_snapshot` output must
-//! parse with the workspace's own hand-rolled JSON parser
-//! ([`lbq_bench::jsonv`]) and carry the versioned frame the snapshot
-//! consumers (the `pr7_bench --serve-smoke` validator, offline tooling)
-//! key on. Lives in `lbq-bench` — the obs crate cannot depend on the
-//! parser without a cycle — and in its own process because it arms the
-//! process-global recorder.
+//! parse with the workspace's one JSON reader ([`lbq_check::json`]) and
+//! carry the versioned frame the snapshot consumers (the live-engine
+//! smoke in `lbq-serve/tests/obs_attribution.rs`, offline tooling) key
+//! on. In its own process because it arms the process-global recorder.
 
-use lbq_bench::jsonv::{self, Json};
+use lbq_check::json::{self, Value as Json};
 use lbq_obs::{QueryEvent, QueryKind, RecorderConfig, StageNanos};
 
 #[test]
-fn snapshot_round_trips_through_jsonv() {
+fn snapshot_round_trips_through_json_reader() {
     // Populate every line type: metrics, a heatmap, recorder + a
     // guaranteed slow capture (floor 0, multiplier 1, tiny warmup).
     lbq_obs::counter("export-rt-counter").add(3);
@@ -56,7 +54,7 @@ fn snapshot_round_trips_through_jsonv() {
     let mut lines = 0u64;
     for line in text.lines() {
         lines += 1;
-        let v = jsonv::parse(line).unwrap_or_else(|e| panic!("unparseable line {line:?}: {e}"));
+        let v = json::parse(line).unwrap_or_else(|e| panic!("unparseable line {line:?}: {e}"));
         match v.get("type").and_then(Json::as_str) {
             Some("snapshot") => {
                 assert_eq!(

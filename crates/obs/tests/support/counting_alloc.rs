@@ -1,5 +1,6 @@
 //! Counting global allocator shared by the zero-allocation tests
-//! (`lbq-obs/tests/zero_alloc.rs`, `lbq-serve/tests/inline_alloc.rs`),
+//! (`lbq-obs/tests/zero_alloc.rs`, `lbq-core/tests/zero_alloc.rs`,
+//! `lbq-serve/tests/inline_alloc.rs`),
 //! pulled in with `#[path]` — one copy of the one `unsafe` shim.
 //!
 //! Implementing `GlobalAlloc` requires `unsafe`; the workspace denies
@@ -21,13 +22,13 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note_alloc() {
+fn count_one() {
     // `try_with`: a thread tearing down its TLS may still allocate.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
 /// Allocations made by the calling thread so far.
-pub fn allocations() -> u64 {
+pub(crate) fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
@@ -35,14 +36,14 @@ pub fn allocations() -> u64 {
 // addition is a thread-local counter bump that cannot allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }

@@ -15,14 +15,10 @@ use lbq_geom::Point;
 pub const DEFAULT_BULK_FILL: f64 = 0.7;
 
 impl RTree {
-    /// Builds a tree from `items` with the default fill factor.
-    pub fn bulk_load(items: Vec<Item>, config: RTreeConfig) -> RTree {
-        Self::bulk_load_with_fill(items, config, DEFAULT_BULK_FILL)
-    }
-
     /// Builds a tree from `items`, packing each node to
-    /// `fill × max_entries` (clamped to `[min_entries, max_entries]`).
-    pub fn bulk_load_with_fill(items: Vec<Item>, config: RTreeConfig, fill: f64) -> RTree {
+    /// [`DEFAULT_BULK_FILL`]` × max_entries` (clamped to
+    /// `[min_entries, max_entries]`).
+    pub fn bulk_load(items: Vec<Item>, config: RTreeConfig) -> RTree {
         for item in &items {
             assert!(item.point.is_finite(), "cannot index a non-finite point");
         }
@@ -31,7 +27,7 @@ impl RTree {
             return tree;
         }
         // lbq-check: allow(lossy-cast) — fill ∈ (0, 1], product is small
-        let node_cap = ((config.max_entries as f64 * fill).round() as usize)
+        let node_cap = ((config.max_entries as f64 * DEFAULT_BULK_FILL).round() as usize)
             .clamp(config.min_entries.max(2), config.max_entries);
         tree.len = items.len();
         // The empty bootstrap root is replaced by the packed tree;
@@ -177,16 +173,6 @@ mod tests {
         assert!(t.delete(Point::new(0.0, 0.0), 0));
         t.check_invariants().unwrap();
         assert_eq!(t.len(), 400);
-    }
-
-    #[test]
-    fn fill_factor_controls_node_count() {
-        let items = grid_items(60); // 3600 points
-        let loose = RTree::bulk_load_with_fill(items.clone(), RTreeConfig::tiny(), 0.5);
-        let dense = RTree::bulk_load_with_fill(items, RTreeConfig::tiny(), 1.0);
-        loose.check_invariants().unwrap();
-        dense.check_invariants().unwrap();
-        assert!(loose.node_count() > dense.node_count());
     }
 
     #[test]

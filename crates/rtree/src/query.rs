@@ -10,7 +10,7 @@
 //! visit sequence (and thus the result order and access count) is
 //! identical to the former recursive descent.
 
-use crate::node::{Item, NodeId};
+use crate::node::Item;
 use crate::probe::QueryProbe;
 use crate::scratch::QueryScratch;
 use crate::tree::RTree;
@@ -55,67 +55,6 @@ impl RTree {
         span.record("results", scratch.out_items.len());
         self.finish_query_span(&mut span, &probe, before);
         &scratch.out_items
-    }
-
-    /// Number of items inside `q` without materializing them (same
-    /// traversal and metering as [`RTree::window`]).
-    pub fn window_count(&self, q: &Rect) -> usize {
-        fn rec(tree: &RTree, node_id: NodeId, q: &Rect, probe: &mut QueryProbe) -> usize {
-            probe.pop();
-            tree.access(node_id);
-            let node = tree.node(node_id);
-            probe.visit(node.level);
-            if node.is_leaf() {
-                return node
-                    .items
-                    .iter()
-                    .filter(|item| q.contains(item.point))
-                    .count();
-            }
-            node.mbrs
-                .iter()
-                .zip(&node.children)
-                .filter(|(mbr, _)| mbr.intersects(q))
-                .map(|(_, &child)| rec(tree, child, q, probe))
-                .sum()
-        }
-        let mut span = lbq_obs::span("rtree-window");
-        let before = self.stats();
-        let mut probe = QueryProbe::default();
-        let count = rec(self, self.root, q, &mut probe);
-        span.record("results", count);
-        self.finish_query_span(&mut span, &probe, before);
-        count
-    }
-
-    /// Counts tree nodes whose MBR intersects `q`, and those fully
-    /// contained in `q` — the quantities `NA_intrsct` and `NA_cont` of
-    /// the paper's Section 5 cost analysis for the second (marginal)
-    /// window query. Unmetered: this is a model-validation helper, not a
-    /// query a server would run.
-    pub fn node_intersection_profile(&self, q: &Rect) -> (u64, u64) {
-        fn rec(tree: &RTree, node_id: NodeId, q: &Rect, acc: &mut (u64, u64)) {
-            let mbr = match tree.node(node_id).mbr() {
-                Some(r) => r,
-                None => return,
-            };
-            if !mbr.intersects(q) {
-                return;
-            }
-            acc.0 += 1;
-            if q.contains_rect(&mbr) {
-                acc.1 += 1;
-            }
-            let node = tree.node(node_id);
-            if !node.is_leaf() {
-                for &child in &node.children {
-                    rec(tree, child, q, acc);
-                }
-            }
-        }
-        let mut acc = (0, 0);
-        rec(self, self.root, q, &mut acc);
-        acc
     }
 }
 
@@ -168,7 +107,6 @@ mod tests {
             let mut got: Vec<u64> = tree.window(q).into_iter().map(|i| i.id).collect();
             got.sort_unstable();
             assert_eq!(got, brute(&items, q), "window {q:?}");
-            assert_eq!(tree.window_count(q), got.len());
         }
     }
 
@@ -186,31 +124,5 @@ mod tests {
         let (out, s) = tree.with_stats(|t| t.window(&Rect::new(0.0, 0.0, 100.0, 100.0)));
         assert_eq!(out.len(), 600);
         assert_eq!(s.node_accesses as usize, tree.node_count());
-    }
-
-    #[test]
-    fn intersection_profile_consistent() {
-        let (tree, _) = build(700, 17);
-        let q = Rect::new(20.0, 20.0, 70.0, 60.0);
-        let (intersecting, contained) = tree.node_intersection_profile(&q);
-        assert!(contained <= intersecting);
-        // The window query visits exactly the intersecting nodes.
-        let (_, s) = tree.with_stats(|t| t.window(&q));
-        assert_eq!(s.node_accesses, intersecting);
-        // A universe query contains every node.
-        let all = Rect::new(-1.0, -1.0, 101.0, 101.0);
-        let (i2, c2) = tree.node_intersection_profile(&all);
-        assert_eq!(i2, c2);
-        assert_eq!(i2 as usize, tree.node_count());
-    }
-
-    #[test]
-    fn window_count_matches_window_accesses() {
-        let (tree, _) = build(400, 29);
-        let q = Rect::new(5.0, 5.0, 60.0, 55.0);
-        let (n, s1) = tree.with_stats(|t| t.window(&q).len());
-        let (c, s2) = tree.with_stats(|t| t.window_count(&q));
-        assert_eq!(n, c);
-        assert_eq!(s1.node_accesses, s2.node_accesses);
     }
 }

@@ -78,7 +78,8 @@ fn focus(req: &QueryReq) -> Point {
 /// Every answer from a hot-enabled engine — whatever tier served it —
 /// carries the same result-id set as the on-line construction, and its
 /// validity region contains the probe point. The skewed stream must
-/// actually exercise the fast path, or the test is vacuous.
+/// actually exercise the fast path, or the test is vacuous; uniform
+/// traffic must never promote a tile, or cold queries pay for builds.
 #[test]
 fn mixed_hot_cold_stream_matches_baseline() {
     let server = build_server(4_000, 3);
@@ -128,6 +129,24 @@ fn mixed_hot_cold_stream_matches_baseline() {
         );
         assert_eq!(stats.hits, hot_served, "stats disagree with response tiers");
     }
+
+    // 64 distinct uniform batches under the default config: about two
+    // probes per hot tile, far below `promote_after`.
+    let engine = Engine::new(
+        server,
+        EngineConfig {
+            cache: CacheConfig::disabled(),
+            ..EngineConfig::default()
+        },
+    );
+    let mut rng = Xoshiro256ss::seed_from_u64(31);
+    for _ in 0..64 {
+        let batch = (0..128)
+            .map(|_| QueryReq::knn(Point::new(rng.gen_f64(), rng.gen_f64()), 10))
+            .collect();
+        engine.submit(batch);
+    }
+    assert_eq!(engine.hot_stats().promotions, 0, "uniform stream promoted");
 }
 
 /// Promotion/demotion churn racing concurrent submits must be

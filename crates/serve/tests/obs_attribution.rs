@@ -1,18 +1,23 @@
 //! Recording-on integration: per-query stage attribution, flight
-//! recorder, and heatmap, end to end through `Engine::submit` — and the
-//! bit-identical guarantee that arming recording changes no answer.
+//! recorder, and heatmap, end to end through `Engine::submit` — the
+//! bit-identical guarantee that arming recording changes no answer, and
+//! a live engine under the snapshot exporter with an injected slow
+//! query.
 //!
 //! Lives in its own integration-test process because recording
 //! ([`lbq_obs::set_recording`]) and the flight recorder are
 //! process-global: unit tests inside the crates must not see the flag
-//! flipped mid-run.
+//! flipped mid-run. One `#[test]` for the same reason: the phases must
+//! not race each other on that state.
 
+use lbq_check::json::{self, Value as Json};
 use lbq_core::LbqServer;
 use lbq_geom::{Point, Rect};
 use lbq_obs::{QueryKind, RecorderConfig};
 use lbq_rtree::{Item, RTree, RTreeConfig};
-use lbq_serve::{Engine, EngineConfig, QueryReq, QueryResp};
+use lbq_serve::{CacheConfig, Engine, EngineConfig, HotConfig, QueryReq, QueryResp};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn grid_server(n_side: u64) -> Arc<LbqServer> {
     let universe = Rect::new(0.0, 0.0, n_side as f64, n_side as f64);
@@ -53,21 +58,25 @@ fn attribution_recorder_and_heatmap_end_to_end() {
     let baseline = off.submit(reqs.clone());
     assert!(baseline.iter().all(|r| r.stages.is_zero()));
 
-    // Arm recording (exporter not needed for this test).
+    // Arm recording. The slow threshold re-arms right at the rolling
+    // p99 after a short warm-up, so the slow query the exporter phase
+    // injects is captured deterministically.
     lbq_obs::init_recorder(RecorderConfig {
         capacity: 256,
-        ..RecorderConfig::default()
+        slow_min_samples: 64,
+        slow_multiplier: 1,
+        slow_floor_ns: 0,
     });
     assert!(lbq_obs::recording());
 
     let on = Engine::new(Arc::clone(&server), EngineConfig::with_workers(3));
     let recorded = on.submit(reqs.clone());
 
-    // Bit-identical: recording only observes. (`from_cache` is NOT
-    // compared — within a batch, whether a query hits an entry that a
-    // concurrent tile just inserted depends on worker scheduling; the
-    // validity-region lemma guarantees the result *sets* match either
-    // way, and that is the bit-identical contract.)
+    // Recording only observes. With the memo tiers on, only the result
+    // *sets* are comparable — within a batch, whether a query hits an
+    // entry that a concurrent tile just inserted depends on worker
+    // scheduling; `exporter_smoke` compares whole answers with the
+    // tiers off.
     assert_eq!(ids_of(&baseline), ids_of(&recorded));
 
     // Ids are request-ordered; every miss carries non-zero attribution.
@@ -126,4 +135,84 @@ fn attribution_recorder_and_heatmap_end_to_end() {
     // Stage histograms aggregated across queries.
     let table = on.stage_table().render();
     assert!(table.contains("tree-knn") || table.contains("group-knn"));
+
+    exporter_smoke(&reqs);
+}
+
+/// A live engine under the snapshot exporter: whole answers identical
+/// obs-on vs obs-off, an injected pathological query captured as slow,
+/// and every exported JSONL line well-formed.
+fn exporter_smoke(reqs: &[QueryReq]) {
+    let data = lbq_data::uniform(20_000, Rect::new(0.0, 0.0, 20.0, 20.0), 0xFEED);
+    let server = Arc::new(LbqServer::new(
+        RTree::bulk_load(data.items, RTreeConfig::default()),
+        data.universe,
+    ));
+    // Memo tiers off: every answer is then a function of its request.
+    let submit = |reqs: &[QueryReq]| -> Vec<String> {
+        let config = EngineConfig {
+            cache: CacheConfig::disabled(),
+            hot: HotConfig::disabled(),
+            ..EngineConfig::with_workers(3)
+        };
+        Engine::new(Arc::clone(&server), config)
+            .submit(reqs.to_vec())
+            .iter()
+            .map(|r| format!("{:?}", r.answer))
+            .collect()
+    };
+    lbq_obs::set_recording(false);
+    let baseline = submit(reqs);
+    lbq_obs::set_recording(true);
+
+    let path = std::env::temp_dir().join(format!("lbq-obs-smoke-{}.jsonl", std::process::id()));
+    let exporter =
+        lbq_obs::install_exporter(&path, Duration::from_millis(40)).expect("open snapshot sink");
+    for _ in 0..4 {
+        for (i, (off, on)) in baseline.iter().zip(submit(reqs)).enumerate() {
+            assert_eq!(*off, on, "request {i}: recorded answer diverged");
+        }
+    }
+    // A k three orders of magnitude above the workload's: its latency
+    // dwarfs the cheap-query p99.
+    let rec = lbq_obs::recorder().expect("recorder armed");
+    let captured_before = rec.stats().slow_captured;
+    submit(&[QueryReq::knn(Point::new(10.0, 10.0), 4_000)]);
+    let stats = rec.stats();
+    assert!(
+        stats.slow_captured > captured_before,
+        "injected slow query was not captured (threshold {} ns, p99 {} ns)",
+        stats.threshold_ns,
+        stats.latency.p99_ns
+    );
+    drop(exporter); // the final snapshot flushes on shutdown
+
+    let text = std::fs::read_to_string(&path).expect("read snapshot file");
+    let _ = std::fs::remove_file(&path);
+    let (mut snapshots, mut trailers, mut heat_tiles, mut recorder_lines) = (0, 0, 0, 0);
+    let mut injected_exported = false;
+    for line in text.lines() {
+        let v = json::parse(line).unwrap_or_else(|e| panic!("unparseable line {line:?}: {e}"));
+        match v.get("type").and_then(Json::as_str) {
+            Some("snapshot") => snapshots += 1,
+            Some("snapshot-end") => trailers += 1,
+            Some("heatmap") => {
+                heat_tiles += v.get("tiles").and_then(Json::as_arr).map_or(0, <[_]>::len)
+            }
+            Some("recorder") => recorder_lines += 1,
+            Some("slow-query") => {
+                assert!(v.get("latency-ns").and_then(Json::as_f64).is_some());
+                injected_exported |= v.get("k").and_then(Json::as_f64) == Some(4_000.0);
+            }
+            Some("metric") => {}
+            other => panic!("unknown record type {other:?} in {line:?}"),
+        }
+    }
+    assert_eq!(snapshots, trailers, "unbalanced snapshot/trailer lines");
+    assert!(heat_tiles >= 1, "exported heatmap is empty");
+    assert!(recorder_lines >= 1, "no recorder stats exported");
+    assert!(
+        injected_exported,
+        "the injected slow query was not exported"
+    );
 }
