@@ -1,9 +1,28 @@
 #!/bin/sh
 # Workspace gate: formatting, release build, project lints, tests.
 # Run from the repository root. Any failing step aborts the run.
+#
+#   ./ci.sh             the full gate
+#   ./ci.sh --soak N    only the workspace tests, N times in a row;
+#                       stops at the first red run
 set -eu
 
 cd "$(dirname "$0")"
+
+if [ "${1:-}" = "--soak" ]; then
+    runs="${2:?usage: ci.sh --soak N}"
+    i=1
+    while [ "$i" -le "$runs" ]; do
+        echo "== soak run $i/$runs: cargo test"
+        cargo test --workspace -q --no-fail-fast || {
+            echo "ci: soak run $i/$runs failed" >&2
+            exit 1
+        }
+        i=$((i + 1))
+    done
+    echo "ci: soak ok ($runs runs)"
+    exit 0
+fi
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
@@ -42,8 +61,8 @@ else
 fi
 
 echo "== cargo test"
-# --no-fail-fast: when the known-intermittent lbq-obs recorder test
-# fires, every crate after it still runs and reports.
+# --no-fail-fast: a red crate does not hide the verdicts of the crates
+# after it.
 cargo test --workspace -q --no-fail-fast
 
 echo "== cargo doc (warnings are errors)"

@@ -54,8 +54,8 @@ pub mod region;
 pub mod window;
 
 pub use nn::{
-    retrieve_influence_set, retrieve_influence_set_group, retrieve_influence_set_in, InfluencePair,
-    NnResponse, NnValidity, NnValidityRef,
+    retrieve_influence_set, retrieve_influence_set_in, InfluencePair, NnResponse, NnValidity,
+    NnValidityRef,
 };
 pub use region::{region_with_validity, RegionResponse, RegionValidity};
 pub use window::{window_with_validity, window_with_validity_in, WindowResponse, WindowValidity};
@@ -127,23 +127,6 @@ impl LbqServer {
             .iter()
             .map(|&(i, _)| i)
             .collect();
-        self.knn_response_from_result_in(q, result, scratch)
-    }
-
-    /// Packages an already-computed kNN `result` (ascending by
-    /// distance) into a full [`NnResponse`]: runs the influence-set
-    /// retrieval on the scratch and detaches an owned validity region.
-    ///
-    /// This is step (ii)+(iii) of [`LbqServer::knn_with_validity`]
-    /// without step (i) — for callers that answered the kNN itself some
-    /// other way, such as the tile-batched shared-frontier traversal
-    /// ([`lbq_rtree::RTree::knn_group_in`]) in `lbq-serve`.
-    pub fn knn_response_from_result_in(
-        &self,
-        q: Point,
-        result: Vec<Item>,
-        scratch: &mut QueryScratch,
-    ) -> NnResponse {
         if result.is_empty() {
             return NnResponse {
                 query: q,
@@ -165,61 +148,6 @@ impl LbqServer {
             validity,
             tpnn_queries,
         }
-    }
-
-    /// Packages a whole tile of already-computed kNN results into
-    /// [`NnResponse`]s, batching the members' influence-set TPNN probes
-    /// into shared-frontier traversals
-    /// ([`lbq_rtree::RTree::tp_knn_group_in`]) instead of running each
-    /// member's validity chain against the tree alone.
-    ///
-    /// Response `i` is byte-identical to
-    /// `self.knn_response_from_result_in(queries[i], results[i], …)` —
-    /// see [`nn::retrieve_influence_set_group`] for why. `queries` and
-    /// `results` must be index-aligned.
-    pub fn knn_responses_from_results_group_in(
-        &self,
-        queries: &[Point],
-        results: Vec<Vec<Item>>,
-        scratch: &mut QueryScratch,
-    ) -> Vec<NnResponse> {
-        assert_eq!(queries.len(), results.len(), "one result set per query");
-        let members: Vec<(Point, &[Item])> = queries
-            .iter()
-            .zip(&results)
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(&q, r)| (q, r.as_slice()))
-            .collect();
-        let mut regions =
-            nn::retrieve_influence_set_group(&self.tree, &members, self.universe, scratch)
-                .into_iter();
-        queries
-            .iter()
-            .zip(results)
-            .map(|(&q, result)| {
-                if result.is_empty() {
-                    return NnResponse {
-                        query: q,
-                        result,
-                        validity: NnValidity {
-                            pairs: Vec::new(),
-                            polygon: lbq_geom::ConvexPolygon::from_rect(&self.universe),
-                            universe: self.universe,
-                        },
-                        tpnn_queries: 0,
-                    };
-                }
-                let (validity, tpnn_queries) =
-                    // lbq-check: allow(no-unwrap-core) — one region per non-empty member, in order
-                    regions.next().expect("one region per non-empty member");
-                NnResponse {
-                    query: q,
-                    result,
-                    validity,
-                    tpnn_queries,
-                }
-            })
-            .collect()
     }
 
     /// Location-based window query (paper §4) for a client at `c` with

@@ -18,7 +18,7 @@
 //! the test suite.
 
 use lbq_geom::{ConvexPolygon, HalfPlane, Point, Rect};
-use lbq_rtree::{Item, QueryScratch, RTree, TpEvent, TpProbe};
+use lbq_rtree::{Item, QueryScratch, RTree};
 
 /// An influence pair `⟨inner, outer⟩`: the bisector of the two is an
 /// edge (or potential edge) of the validity region; `inner` belongs to
@@ -205,8 +205,7 @@ fn vertex_eps(universe: &Rect) -> f64 {
 }
 
 /// Index of the unconfirmed vertex nearest to `q`, or `None` when all
-/// are confirmed. The single-query loop and the grouped lockstep driver
-/// share this selector, so both probe in the identical order.
+/// are confirmed.
 fn nearest_unconfirmed(q: Point, vertices: &[(Point, bool)]) -> Option<usize> {
     vertices
         .iter()
@@ -374,160 +373,6 @@ pub fn retrieve_influence_set_in<'s>(
         span.record("area", validity.area());
     }
     (validity, tpnn_count)
-}
-
-/// Per-member loop state of [`retrieve_influence_set_group`].
-struct MemberLoop {
-    pairs: Vec<(Item, Item)>,
-    polygon: ConvexPolygon,
-    vertices: Vec<(Point, bool)>,
-    tpnn: usize,
-    done: bool,
-}
-
-/// Grouped [`retrieve_influence_set`]: computes the influence set and
-/// validity region of every member `(q, result)` of one locality tile,
-/// batching the members' TPNN probes into shared-frontier traversals
-/// ([`lbq_rtree::RTree::tp_knn_group_in`]).
-///
-/// Every member's vertex-confirmation loop runs exactly as in
-/// [`retrieve_influence_set_in`] — same vertex selection (shared
-/// `nearest_unconfirmed`), same clips, same Lemma 3.2 query count — but
-/// the loops advance in lockstep: each round collects every unfinished
-/// member's next vertex probe and answers the whole round in one shared
-/// traversal. The grouped TPNN returns bit-identical events, and no
-/// member's state feeds another's, so each member's pairs, polygon, and
-/// TPNN count equal the single-query path's bit for bit. On a Hilbert
-/// tile the ~`n_inf + n_v` probes of all members search the same
-/// neighborhood, so the shared frontier reads each node page once per
-/// round instead of once per member.
-///
-/// Returns one `(validity, tpnn_queries)` per member, in member order.
-pub fn retrieve_influence_set_group(
-    tree: &RTree,
-    members: &[(Point, &[Item])],
-    universe: Rect,
-    scratch: &mut QueryScratch,
-) -> Vec<(NnValidity, usize)> {
-    let mut span = lbq_obs::span("nn-influence-set-group");
-    span.record("members", members.len());
-    let eps = vertex_eps(&universe);
-    let mut states: Vec<MemberLoop> = members
-        .iter()
-        .map(|&(_, inner)| {
-            assert!(!inner.is_empty(), "kNN result must be non-empty");
-            let polygon = ConvexPolygon::from_rect(&universe);
-            // Whole dataset in the result: nothing can ever change.
-            let done = tree.len() <= inner.len();
-            let vertices = if done {
-                Vec::new()
-            } else {
-                polygon.vertices().iter().map(|&v| (v, false)).collect()
-            };
-            MemberLoop {
-                pairs: Vec::new(),
-                polygon,
-                vertices,
-                tpnn: 0,
-                done,
-            }
-        })
-        .collect();
-    let mut spare: Vec<(Point, bool)> = Vec::new();
-    let mut clip_buf: Vec<Point> = Vec::new();
-    let mut probes: Vec<TpProbe<'_>> = Vec::new();
-    let mut slots: Vec<(usize, usize)> = Vec::new();
-    let mut events: Vec<Option<TpEvent>> = Vec::new();
-    loop {
-        probes.clear();
-        slots.clear();
-        for (mi, st) in states.iter_mut().enumerate() {
-            if st.done {
-                continue;
-            }
-            let (q, inner) = members[mi];
-            loop {
-                let Some(idx) = nearest_unconfirmed(q, &st.vertices) else {
-                    st.done = true;
-                    break;
-                };
-                let v = st.vertices[idx].0;
-                if let Some(dir) = q.to(v).normalized() {
-                    st.tpnn += 1;
-                    probes.push(TpProbe {
-                        q,
-                        dir,
-                        t_max: q.dist(v),
-                        inner,
-                    });
-                    slots.push((mi, idx));
-                    break;
-                }
-                // The vertex coincides with the query point (degenerate,
-                // zero-area region) — confirm and pick the next one, as
-                // the single-query loop does.
-                st.vertices[idx].1 = true;
-            }
-        }
-        if probes.is_empty() {
-            break;
-        }
-        tree.tp_knn_group_in(&probes, scratch, &mut events);
-        for (&(mi, idx), event) in slots.iter().zip(&events) {
-            let st = &mut states[mi];
-            match *event {
-                None => {
-                    st.vertices[idx].1 = true;
-                }
-                Some(ev) => {
-                    let known = st
-                        .pairs
-                        .iter()
-                        .any(|&(pi, po)| pi.id == ev.partner.id && po.id == ev.object.id);
-                    if known {
-                        st.vertices[idx].1 = true;
-                    } else {
-                        let _clip = lbq_obs::stage_timer(lbq_obs::Stage::Clip);
-                        let pair = InfluencePair {
-                            inner: ev.partner,
-                            outer: ev.object,
-                        };
-                        st.polygon.clip_in_place(&pair.half_plane(), &mut clip_buf);
-                        st.pairs.push((pair.inner, pair.outer));
-                        if st.polygon.is_empty() {
-                            // Degenerate: q sits on a bisector (tie).
-                            st.vertices.clear();
-                            st.done = true;
-                        } else {
-                            spare.clear();
-                            spare.extend(st.polygon.vertices().iter().map(|&nv| {
-                                let confirmed =
-                                    st.vertices.iter().any(|(ov, c)| *c && ov.dist(nv) <= eps);
-                                (nv, confirmed)
-                            }));
-                            std::mem::swap(&mut st.vertices, &mut spare);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if span.is_active() {
-        span.record("tpnn-queries", states.iter().map(|s| s.tpnn).sum::<usize>());
-    }
-    states
-        .into_iter()
-        .zip(members)
-        .map(|(st, &(q, _))| {
-            let view = NnValidityRef {
-                pairs: &st.pairs,
-                polygon: &st.polygon,
-                universe,
-            };
-            crate::invariants::debug_validate_nn(&view, q);
-            (view.to_owned(), st.tpnn)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -708,62 +553,6 @@ mod tests {
         assert_eq!(tpnn, 0);
         assert!((validity.area() - 1.0).abs() < 1e-12);
         assert!(validity.contains(Point::new(0.01, 0.99)));
-    }
-
-    #[test]
-    fn grouped_retrieval_is_bit_identical_to_single() {
-        let items = pseudo_random_items(2500, 41);
-        let tree = RTree::bulk_load(items, RTreeConfig::tiny());
-        let mut scratch = QueryScratch::new();
-        // A tight tile (the serve shape) plus spread members, mixed k.
-        let mut members: Vec<(Point, Vec<Item>)> = Vec::new();
-        for i in 0..20 {
-            let q = Point::new(0.41 + (i % 5) as f64 * 0.003, 0.58 + (i / 5) as f64 * 0.003);
-            let inner: Vec<Item> = tree
-                .knn_in(q, 1 + i % 3, &mut scratch)
-                .iter()
-                .map(|&(it, _)| it)
-                .collect();
-            members.push((q, inner));
-        }
-        for &(x, y) in &[(0.07, 0.93), (0.88, 0.12)] {
-            let q = Point::new(x, y);
-            let inner: Vec<Item> = tree
-                .knn_in(q, 4, &mut scratch)
-                .iter()
-                .map(|&(it, _)| it)
-                .collect();
-            members.push((q, inner));
-        }
-        let refs: Vec<(Point, &[Item])> = members.iter().map(|(q, r)| (*q, r.as_slice())).collect();
-        let grouped = retrieve_influence_set_group(&tree, &refs, unit(), &mut scratch);
-        assert_eq!(grouped.len(), members.len());
-        for ((q, inner), (validity, tpnn)) in members.iter().zip(&grouped) {
-            let (want, want_tpnn) =
-                retrieve_influence_set_in(&tree, *q, inner, unit(), &mut scratch);
-            assert_eq!(*tpnn, want_tpnn, "TPNN count at {q}");
-            let want_pairs: Vec<(u64, u64)> =
-                want.pairs().map(|p| (p.inner.id, p.outer.id)).collect();
-            let got_pairs: Vec<(u64, u64)> = validity
-                .pairs
-                .iter()
-                .map(|p| (p.inner.id, p.outer.id))
-                .collect();
-            assert_eq!(got_pairs, want_pairs, "pair discovery order at {q}");
-            let want_bits: Vec<(u64, u64)> = want
-                .polygon()
-                .vertices()
-                .iter()
-                .map(|v| (v.x.to_bits(), v.y.to_bits()))
-                .collect();
-            let got_bits: Vec<(u64, u64)> = validity
-                .polygon
-                .vertices()
-                .iter()
-                .map(|v| (v.x.to_bits(), v.y.to_bits()))
-                .collect();
-            assert_eq!(got_bits, want_bits, "polygon vertex bits at {q}");
-        }
     }
 
     #[test]

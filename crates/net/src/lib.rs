@@ -10,9 +10,9 @@
 //! * the **session layer** is timer-free: one dispatcher submits
 //!   whatever all connections have queued the moment it is free, so a
 //!   lone request is answered at once and a batch forms — *across
-//!   connections*, feeding the engine's Hilbert tiling and
-//!   shared-frontier group traversals — only while the previous
-//!   [`lbq_serve::Engine::submit`] runs (`session` module);
+//!   connections*, feeding the engine's Hilbert tiling — only while
+//!   the previous [`lbq_serve::Engine::submit`] runs (`session`
+//!   module);
 //! * hand-offs are **burst-sized**: one injection per socket read, one
 //!   outbound buffer per connection per batch, one `write_all` per
 //!   writer wake-up;

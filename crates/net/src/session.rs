@@ -8,7 +8,7 @@
 //! still running while they arrived: an idle server answers a lone
 //! request at once (the engine serves a single tile inline, on the
 //! dispatcher thread) and a loaded one still gets the Hilbert tiling
-//! and shared-frontier group traversals across sockets. No request
+//! across sockets. No request
 //! waits on a clock: [`crate::NetConfig::coalesce_window`] defaults to
 //! zero and survives as a test instrument.
 //!

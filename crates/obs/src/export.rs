@@ -171,11 +171,12 @@ pub fn render_snapshot(seq: u64) -> String {
         let s = r.stats();
         let _ = write!(
             out,
-            "{{\"type\":\"recorder\",\"capacity\":{},\"total\":{},\"slow-captured\":{},\
-             \"threshold-ns\":{},\"latency-count\":{},\"latency-p50-ns\":{},\
+            "{{\"type\":\"recorder\",\"capacity\":{},\"total\":{},\"dropped\":{},\
+             \"slow-captured\":{},\"threshold-ns\":{},\"latency-count\":{},\"latency-p50-ns\":{},\
              \"latency-p99-ns\":{},\"latency-mean-ns\":{}}}\n",
             s.capacity,
             s.total,
+            s.dropped,
             s.slow_captured,
             s.threshold_ns,
             s.latency.count,

@@ -4,9 +4,11 @@
 //! Serve workers call [`record_query`] once per answered query (a
 //! no-op unless [`init_recorder`] ran and recording is on). Each
 //! record lands in a power-of-two ring of seqlock-stamped slots:
-//! writers claim a ticket with one `fetch_add`, stamp the slot odd,
-//! store the payload words, and stamp it even — no locks, no
-//! allocation, readers never block writers. [`FlightRecorder::recent`]
+//! writers claim a ticket with one `fetch_add`, claim the slot by a CAS
+//! of its stamp to odd, store the payload words, and stamp it even — no
+//! locks, no allocation, readers never block writers. A writer that
+//! finds its slot mid-write or already newer drops its record and
+//! counts the drop. [`FlightRecorder::recent`]
 //! walks the ring and keeps only slots whose stamp is stable across
 //! the read (a torn slot is simply skipped).
 //!
@@ -22,7 +24,7 @@ use crate::metrics::{Histogram, HistogramSummary};
 use crate::stage::{self, StageNanos, STAGE_NAMES};
 use crate::trace::{enabled, event_with, Value};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// What kind of query a [`QueryEvent`] describes.
@@ -59,7 +61,9 @@ pub enum CacheTier {
     Tree = 0,
     /// Served from the engine's validity-region cache.
     Cache = 1,
-    /// Full traversal amortized across a tile group.
+    /// Full traversal amortized across a tile group. The engine no
+    /// longer produces it (every cold miss is answered alone); it stays
+    /// because the benchmark's load generator matches on it.
     TreeGroup = 2,
     /// Hot-tile Voronoi fast path: point location into a lazily
     /// materialized order-k cell (`lbq-serve`'s hybrid index).
@@ -225,8 +229,14 @@ pub struct SlowCapture {
 pub struct RecorderStats {
     /// Ring capacity in records.
     pub capacity: usize,
-    /// Total records ever written (may exceed capacity).
+    /// Total records ever offered (may exceed capacity), dropped ones
+    /// included.
     pub total: u64,
+    /// Records whose ring write was dropped because their slot was
+    /// held by another writer or already held a newer record
+    /// (`recorder-dropped`). Their latency still feeds the slow-query
+    /// threshold and capture.
+    pub dropped: u64,
     /// Total slow-query captures fired.
     pub slow_captured: u64,
     /// Current slow threshold, ns (0 while warming up).
@@ -246,6 +256,7 @@ pub struct FlightRecorder {
     threshold_ns: AtomicU64,
     slow: Mutex<VecDeque<SlowCapture>>,
     slow_captured: AtomicU64,
+    dropped: AtomicU64,
     config: RecorderConfig,
 }
 
@@ -271,6 +282,7 @@ impl FlightRecorder {
             threshold_ns: AtomicU64::new(0),
             slow: Mutex::new(VecDeque::new()),
             slow_captured: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
             config,
         }
     }
@@ -280,7 +292,7 @@ impl FlightRecorder {
         self.slots.len()
     }
 
-    /// Total records ever written.
+    /// Total records ever offered, dropped ones included.
     pub fn total(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }
@@ -293,15 +305,48 @@ impl FlightRecorder {
     /// Writes one record into the ring and runs slow-query detection.
     /// Lock-free on the ring; the capture buffer mutex is only touched
     /// for queries already classified as slow.
+    ///
+    /// Writers a ring length apart map to the same slot, so a writer
+    /// first claims its slot: one CAS from a stable (even) stamp older
+    /// than its own ticket to its odd in-progress stamp. A slot that
+    /// is mid-write (odd) or already holds a newer record cannot be
+    /// claimed; the record's ring write is then dropped and counted
+    /// ([`RecorderStats::dropped`]). One writer per slot at a time is
+    /// what lets a reader trust an unchanged even stamp.
     pub fn record(&self, ev: &QueryEvent) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         // lbq-check: allow(lossy-cast) — masked to ring capacity
         let slot = &self.slots[(ticket & self.mask) as usize];
-        slot.seq.store(2 * ticket + 1, Ordering::Release);
-        for (w, v) in slot.words.iter().zip(pack(ev)) {
-            w.store(v, Ordering::Relaxed);
+        let stable = 2 * ticket + 2;
+        // lbq-check: allow(atomic-ordering) — the claim publishes nothing; the release fence below orders it before the payload
+        let mut seen = slot.seq.load(Ordering::Relaxed);
+        let claimed = loop {
+            if seen % 2 == 1 || seen >= stable {
+                break false;
+            }
+            // lbq-check: allow(atomic-ordering) — the claim publishes nothing; the release fence below orders it before the payload
+            match slot.seq.compare_exchange_weak(
+                seen,
+                stable - 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break true,
+                Err(now) => seen = now,
+            }
+        };
+        if claimed {
+            // Orders the odd stamp before the payload stores: a reader
+            // that sees any of them sees the odd stamp (or later) on
+            // its second stamp load.
+            fence(Ordering::Release);
+            for (w, v) in slot.words.iter().zip(pack(ev)) {
+                w.store(v, Ordering::Relaxed);
+            }
+            slot.seq.store(stable, Ordering::Release);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
 
         // Rolling slow threshold: recompute every few records once the
         // histogram is warm.
@@ -370,7 +415,11 @@ impl FlightRecorder {
             for (w, a) in words.iter_mut().zip(slot.words.iter()) {
                 *w = a.load(Ordering::Relaxed);
             }
-            if slot.seq.load(Ordering::Acquire) != s1 {
+            // Orders the payload loads before the second stamp load
+            // (pairs with the writer's release fence).
+            fence(Ordering::Acquire);
+            // lbq-check: allow(atomic-ordering) — ordered by the acquire fence above, the seqlock reader's standard form
+            if slot.seq.load(Ordering::Relaxed) != s1 {
                 continue; // torn: a writer got in between
             }
             out.push(((s1 - 2) / 2, unpack(&words)));
@@ -391,6 +440,7 @@ impl FlightRecorder {
             capacity: self.capacity(),
             total: self.total(),
             slow_captured: self.slow_captured.load(Ordering::Relaxed),
+            dropped: self.dropped.load(Ordering::Relaxed),
             threshold_ns: self.threshold_ns(),
             latency: self.latency.summary(),
         }

@@ -13,9 +13,8 @@
 //!
 //! When recording is off ([`set_recording`]) a timer is a single
 //! relaxed atomic load and no clock is read — the same disabled-path
-//! contract as tracing spans. Re-entrant timers for the same stage
-//! (e.g. a grouped TPNN chain falling back to a solo chain) are inert
-//! at the inner level, so nesting never double-counts.
+//! contract as tracing spans. Re-entrant timers for the same stage are
+//! inert at the inner level, so nesting never double-counts.
 //!
 //! Stage names are kebab-case literals in [`STAGE_NAMES`]; each stage
 //! also feeds a registered `stage-*` histogram so aggregate per-stage
@@ -38,9 +37,11 @@ pub enum Stage {
     CacheLookup = 0,
     /// Solo best-first kNN traversal (`lbq-rtree`).
     TreeKnn = 1,
-    /// Shared-frontier group kNN traversal (`lbq-rtree`).
+    /// Shared-frontier group kNN traversal (`lbq-rtree`). No serving
+    /// path produces it any more (cold kNN misses take the per-query
+    /// kernel); it stays because the benchmark's layer report reads it.
     GroupKnn = 2,
-    /// TPNN influence-set chain, solo or grouped (`lbq-rtree`).
+    /// TPNN influence-set chain (`lbq-rtree`).
     TpnnChain = 3,
     /// Half-plane clipping of the validity polygon (`lbq-core`).
     Clip = 4,
@@ -187,9 +188,8 @@ impl StageNanos {
         self
     }
 
-    /// Element-wise division, for amortizing a group-shared stage
-    /// across the group's members (mirrors the engine's `shared_ns`
-    /// accounting). `n = 0` is treated as 1.
+    /// Element-wise division, for spreading a shared stage across the
+    /// `n` queries that shared it. `n = 0` is treated as 1.
     pub fn amortized(mut self, n: u64) -> StageNanos {
         let n = n.max(1);
         for a in self.0.iter_mut() {

@@ -1,10 +1,15 @@
 //! Shared-frontier multi-query kNN.
 //!
-//! `lbq-serve` dispatches queries in Hilbert-sorted *tiles* (DESIGN.md
-//! §12), so the cache-miss kNN queries reaching the tree arrive in
-//! spatially tight groups. [`RTree::knn_group_in`] answers such a tile
-//! in **one traversal**: a single best-first frontier ordered by the
-//! rect-to-rect bound `mindist²(node, groupMBR)`
+//! No serving path calls this module: `lbq-serve` answers every
+//! cache-miss kNN with the per-query kernel ([`RTree::knn_in`] and one
+//! TPNN chain per region), which measured about twice the capacity of
+//! grouping a Hilbert tile's misses. It stays because the benchmark's
+//! layer replay (`rtree.knn_group_ns`) still measures it; it goes with
+//! that metric.
+//!
+//! Given a spatially tight group of foci, [`RTree::knn_group_in`]
+//! answers all of them in **one traversal**: a single best-first
+//! frontier ordered by the rect-to-rect bound `mindist²(node, groupMBR)`
 //! ([`lbq_geom::Rect::mindist_sq_rect`]), with one bounded candidate
 //! array per query. Every leaf the frontier reaches is scanned once and
 //! offered to all queries, so node pages shared between neighboring
@@ -52,6 +57,8 @@ impl RTree {
     }
 
     /// k-NN of every query point in one shared traversal (module docs).
+    /// No serving path calls it; it stays for the benchmark's layer
+    /// replay.
     ///
     /// Returns the per-query results concatenated with uniform stride
     /// `m = k.min(self.len())`: entries `[i*m, (i+1)*m)` are exactly

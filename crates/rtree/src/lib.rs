@@ -34,15 +34,17 @@
 //!   heap allocations. Nodes are stored struct-of-arrays (parallel
 //!   MBR/child arrays, plain item arrays in leaves) so the scan loops
 //!   stream contiguous rects. See DESIGN.md §11.
-//! * **Hilbert-packed arenas and group queries**: [`RTree::repack`]
-//!   rewrites a finished tree into descent-order arena layout with
-//!   Hilbert-sorted siblings ([`RTree::bulk_load_packed`] composes it
-//!   with STR), carrying a column mirror of leaf coordinates and
-//!   child MBRs that the scan kernels vectorize over — every query
-//!   stays bit-identical to the source tree. [`RTree::knn_group_in`]
-//!   answers a tile of co-located queries in one shared-frontier
-//!   traversal, bit-identical per member to [`RTree::knn_in`]. See
-//!   DESIGN.md §12.
+//! * **Hilbert-packed arenas**: [`RTree::repack`] rewrites a finished
+//!   tree into descent-order arena layout with Hilbert-sorted siblings
+//!   ([`RTree::bulk_load_packed`] composes it with STR), carrying a
+//!   column mirror of leaf coordinates and child MBRs that the scan
+//!   kernels vectorize over — every query stays bit-identical to the
+//!   source tree. See DESIGN.md §12.
+//! * **Shared-frontier group kNN** ([`RTree::knn_group_in`]): a tile of
+//!   co-located queries in one traversal, bit-identical per member to
+//!   [`RTree::knn_in`]. No serving path calls it any more (cold misses
+//!   take the per-query kernel); it stays because the benchmark's layer
+//!   replay still measures it.
 //!
 //! ## Metering
 //!
@@ -82,7 +84,7 @@ pub use bulk::DEFAULT_BULK_FILL;
 pub use node::{Item, NodeId};
 pub use scratch::QueryScratch;
 pub use stats::{LruBuffer, Stats};
-pub use tp::{TpBound, TpEvent, TpProbe};
+pub use tp::{TpBound, TpEvent};
 pub use tpwin::{TpWindowChange, TpWindowEvent};
 pub use tree::RTree;
 pub use util::OrdF64;

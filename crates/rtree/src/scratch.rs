@@ -17,7 +17,7 @@
 
 use crate::node::{Item, NodeId};
 use crate::util::OrdF64;
-use lbq_geom::{ConvexPolygon, Point, Vec2};
+use lbq_geom::{ConvexPolygon, Point};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -162,16 +162,9 @@ pub struct QueryScratch {
     /// ([`crate::RTree::knn_group_in`]): slot `i` collects the best k of
     /// query `i` in the tile. Grows to the largest tile seen.
     pub(crate) group_cands: Vec<CandidateSet>,
-    /// Frontier for the grouped TPNN ([`crate::RTree::tp_knn_group_in`]):
-    /// min-heap of (group lower bound, node, member bitmask).
-    pub(crate) tp_group_queue: BinaryHeap<Reverse<crate::tp::GroupEntry>>,
-    /// Per-member rotated frame `(perp, d_max, inner_d2 start)` for the
-    /// grouped TPNN; the third field indexes into [`Self::tp_inner_d2`].
-    pub(crate) tp_group_frame: Vec<(Vec2, f64, u32)>,
     /// Precomputed `dist²(q, oᵢ)` for the probe's inner set — these are
     /// probe-invariant, so the leaf scans reuse them instead of
-    /// recomputing one per (item, inner) pair. Grouped probes append
-    /// their sets back to back (offsets in [`Self::tp_group_frame`]).
+    /// recomputing one per (item, inner) pair.
     pub(crate) tp_inner_d2: Vec<f64>,
 }
 

@@ -34,7 +34,7 @@
 //!   more nodes) but costs O(k) quadratic solves per entry. The
 //!   `ablation_tpnn_bound` benchmark quantifies the trade.
 
-use crate::node::{Item, NodeId};
+use crate::node::Item;
 use crate::probe::QueryProbe;
 use crate::scratch::QueryScratch;
 use crate::tree::RTree;
@@ -61,60 +61,6 @@ pub struct TpEvent {
     pub partner: Item,
     /// Influence time: distance traveled along `dir` until the change.
     pub time: f64,
-}
-
-/// One member of a grouped TP probe batch (see
-/// [`RTree::tp_knn_group_in`]): an independent TPNN query that shares
-/// its tree traversal with the rest of the batch.
-#[derive(Debug, Clone, Copy)]
-pub struct TpProbe<'a> {
-    /// Query focus.
-    pub q: Point,
-    /// Unit direction of travel.
-    pub dir: Vec2,
-    /// Time horizon searched.
-    pub t_max: f64,
-    /// This member's current result set (non-empty).
-    pub inner: &'a [Item],
-}
-
-/// Members per shared-frontier chunk: the frontier tags each node with
-/// the bitmask of members that kept it, so one chunk is one `u64`.
-const TP_GROUP_CHUNK: usize = 64;
-
-/// One frontier entry of the shared-frontier grouped TPNN
-/// ([`RTree::tp_knn_group_in`]). Carries the node's MBR (known at push
-/// time from the parent) so the pop-time member re-gate needs no pass
-/// over the node's contents. The heap order ignores `mbr`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GroupEntry {
-    lb: OrdF64,
-    node: NodeId,
-    mask: u64,
-    mbr: Rect,
-}
-
-impl PartialEq for GroupEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for GroupEntry {}
-
-impl PartialOrd for GroupEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for GroupEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.lb
-            .cmp(&other.lb)
-            .then_with(|| self.node.cmp(&other.node))
-            .then_with(|| self.mask.cmp(&other.mask))
-    }
 }
 
 /// Subtree pruning bound used by [`RTree::tp_knn_with_bound`].
@@ -422,367 +368,6 @@ impl RTree {
         }
         best
     }
-
-    /// Answers a batch of TPNN probes in one shared-frontier traversal
-    /// per 64-member chunk, using the loose closing-speed bound (the
-    /// default of [`RTree::tp_knn`]).
-    ///
-    /// `out` is cleared and refilled index-aligned with `probes`:
-    /// `out[i]` equals `self.tp_knn_in(probes[i].q, …)` bit for bit.
-    /// The influence event of a probe is the argmin over outer objects
-    /// under the total `(time, object.id)` order — a function of the
-    /// point set alone, not of traversal order. The shared frontier
-    /// visits a superset of every member's single-query nodes (a node
-    /// is kept when *any* member keeps it, each member applying its own
-    /// admissible radial + capsule prune), and each reached leaf is
-    /// offered to a member only if that member kept the node, through
-    /// the unchanged single-query scan — so each member's argmin is
-    /// found exactly as before.
-    ///
-    /// The probes of a validity-region round for one Hilbert tile all
-    /// search the same neighborhood, so the shared frontier reads each
-    /// node page once instead of once per member.
-    pub fn tp_knn_group_in(
-        &self,
-        probes: &[TpProbe<'_>],
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Option<TpEvent>>,
-    ) {
-        let _stage = lbq_obs::stage_timer(lbq_obs::Stage::TpnnChain);
-        out.clear();
-        out.resize(probes.len(), None);
-        let mut start = 0;
-        for chunk in probes.chunks(TP_GROUP_CHUNK) {
-            let end = start + chunk.len();
-            self.tp_group_chunk(chunk, scratch, &mut out[start..end]);
-            start = end;
-        }
-    }
-
-    /// One ≤64-member shared-frontier traversal (see
-    /// [`RTree::tp_knn_group_in`]).
-    fn tp_group_chunk(
-        &self,
-        probes: &[TpProbe<'_>],
-        scratch: &mut QueryScratch,
-        out: &mut [Option<TpEvent>],
-    ) {
-        let m = probes.len();
-        if m == 0 {
-            return;
-        }
-        if m <= 3 {
-            // Tiny batches (the tail rounds of a validity loop, where
-            // only a few members are still unfinished) gain nothing
-            // from the shared frontier; per-probe group overhead — the
-            // root re-descend, per-pop member gates, the seed-dive
-            // re-scan — outweighs the sharing. The single-query path
-            // answers each probe identically (the event is the argmin
-            // over items, not a function of traversal order).
-            for (slot, p) in out.iter_mut().zip(probes) {
-                *slot = self.tp_knn_in(p.q, p.dir, p.t_max, p.inner, scratch);
-            }
-            return;
-        }
-        let mut span = lbq_obs::span("rtree-tpnn-group");
-        let before = self.stats();
-        let mut probe_stats = QueryProbe::default();
-
-        let mut frame = std::mem::take(&mut scratch.tp_group_frame);
-        frame.clear();
-        let mut inner_d2 = std::mem::take(&mut scratch.tp_inner_d2);
-        inner_d2.clear();
-        let (mut gx0, mut gy0, mut gx1, mut gy1) = (
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NEG_INFINITY,
-        );
-        for p in probes {
-            assert!(!p.inner.is_empty(), "TP query needs the current result set");
-            debug_assert!(
-                (p.dir.norm() - 1.0).abs() < lbq_geom::EPS,
-                "dir must be unit length, got |dir| = {}",
-                p.dir.norm()
-            );
-            let d_max = p
-                .inner
-                .iter()
-                .map(|o| p.q.dist(o.point))
-                .fold(0.0f64, f64::max);
-            gx0 = gx0.min(p.q.x);
-            gy0 = gy0.min(p.q.y);
-            gx1 = gx1.max(p.q.x);
-            gy1 = gy1.max(p.q.y);
-            // lbq-check: allow(lossy-cast) — ≤ 64 probes × k entries
-            let d2_start = inner_d2.len() as u32;
-            inner_d2.extend(p.inner.iter().map(|o| p.q.dist_sq(o.point)));
-            frame.push((Vec2::new(-p.dir.y, p.dir.x), d_max, d2_start));
-        }
-        let group_rect = Rect::new(gx0, gy0, gx1, gy1);
-        let full_mask: u64 = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-
-        let horizon = |slot: &Option<TpEvent>, t_max: f64| -> f64 {
-            slot.as_ref().map_or(t_max, |e| e.time.min(t_max))
-        };
-
-        // Greedy seed dive, as in the single-query traversal: when any
-        // member is wide (more than one root child inside its keep
-        // radius), walk the mindist-closest child chain toward the group
-        // center and scan that leaf first. First-round validity probes
-        // aim at far-away polygon vertices, so every horizon starts near
-        // `t_max`; without the dive the first pops flood the frontier
-        // with children kept at those wide horizons. The seed leaf is
-        // re-scanned when popped; equal-time rediscovery is not "better"
-        // under the tie-break, so results are unchanged.
-        let c_g = group_rect.center();
-        let wide = {
-            let root = self.node(self.root);
-            !root.is_leaf() && {
-                let mut kept = 0usize;
-                'children: for mbr in &root.mbrs {
-                    for (i, p) in probes.iter().enumerate() {
-                        let (_, d_max, _) = frame[i];
-                        let r = (2.0 * p.t_max + d_max) * (1.0 + RADIAL_SLACK);
-                        if mbr.mindist_sq(p.q) <= r * r {
-                            kept += 1;
-                            if kept > 1 {
-                                break 'children;
-                            }
-                            continue 'children;
-                        }
-                    }
-                }
-                kept > 1
-            }
-        };
-        if wide {
-            let mut dive = self.root;
-            loop {
-                self.access(dive);
-                let node = self.node(dive);
-                probe_stats.visit(node.level);
-                if node.is_leaf() {
-                    let (mut lx0, mut ly0) = (f64::INFINITY, f64::INFINITY);
-                    let (mut lx1, mut ly1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-                    for it in &node.items {
-                        lx0 = lx0.min(it.point.x);
-                        ly0 = ly0.min(it.point.y);
-                        lx1 = lx1.max(it.point.x);
-                        ly1 = ly1.max(it.point.y);
-                    }
-                    let leaf_rect = Rect::new(lx0, ly0, lx1, ly1);
-                    for (i, p) in probes.iter().enumerate() {
-                        let (perp, d_max, _) = frame[i];
-                        let h = horizon(&out[i], p.t_max);
-                        let r = (2.0 * h + d_max) * (1.0 + RADIAL_SLACK);
-                        if leaf_rect.mindist_sq(p.q) > r * r {
-                            continue;
-                        }
-                        scan_leaf(
-                            &node.items,
-                            self.leaf_coords(dive),
-                            p.q,
-                            p.dir,
-                            perp,
-                            d_max,
-                            p.t_max,
-                            p.inner,
-                            member_d2(&inner_d2, &frame, i, p),
-                            &mut out[i],
-                        );
-                    }
-                    break;
-                }
-                let mut next = None;
-                let mut next_md = f64::INFINITY;
-                match self.child_mbr_cols(dive) {
-                    Some(cols) => crate::util::for_each_mindist_sq(cols, c_g, |j, md| {
-                        if md < next_md {
-                            next_md = md;
-                            next = Some(node.children[j]);
-                        }
-                    }),
-                    None => {
-                        for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
-                            let md = mbr.mindist_sq(c_g);
-                            if md < next_md {
-                                next_md = md;
-                                next = Some(child);
-                                if md <= 0.0 {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                let Some(next) = next else { break };
-                dive = next;
-            }
-        }
-
-        let queue = &mut scratch.tp_group_queue;
-        queue.clear();
-        queue.push(Reverse(GroupEntry {
-            lb: OrdF64::new(0.0),
-            node: self.root,
-            mask: full_mask,
-            // Placeholder: the root entry skips the MBR re-gate below.
-            mbr: Rect::new(0.0, 0.0, 0.0, 0.0),
-        }));
-        while let Some(Reverse(entry)) = queue.pop() {
-            let (OrdF64(lb), node_id, mask) = (entry.lb, entry.node, entry.mask);
-            probe_stats.pop();
-            let max_h = (0..m).fold(0.0_f64, |acc, i| acc.max(horizon(&out[i], probes[i].t_max)));
-            // `lb` is the minimum member bound, so everything left in the
-            // frontier is beyond every member's horizon.
-            if lb > max_h {
-                break;
-            }
-            self.access(node_id);
-            let node = self.node(node_id);
-            probe_stats.visit(node.level);
-            // A member's mask bit reflects its horizon at *push* time; by
-            // pop time most horizons have collapsed, so re-gate each
-            // member against the node's MBR (carried in the entry from
-            // the parent) at *current* horizons before paying any
-            // per-content work. The gate is the single-query radial keep
-            // test, which never drops a node holding a best-beating item,
-            // so events stay bit-identical. The root entry has no parent
-            // MBR and skips the gate.
-            let gate = node_id != self.root;
-            let mut live = 0u64;
-            let mut mh = [0.0f64; TP_GROUP_CHUNK];
-            let mut mkeep = [0.0f64; TP_GROUP_CHUNK];
-            let mut r_live = 0.0f64;
-            let mut bits = mask;
-            while bits != 0 {
-                // lbq-check: allow(lossy-cast) — trailing_zeros < 64
-                let i = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let p = &probes[i];
-                let (_, d_max, _) = frame[i];
-                let h = horizon(&out[i], p.t_max);
-                let r = (2.0 * h + d_max) * (1.0 + RADIAL_SLACK);
-                let keep_sq = r * r;
-                if gate && entry.mbr.mindist_sq(p.q) > keep_sq {
-                    continue;
-                }
-                live |= 1 << i;
-                mh[i] = h;
-                mkeep[i] = keep_sq;
-                r_live = r_live.max(r);
-            }
-            if live == 0 {
-                continue;
-            }
-            if node.is_leaf() {
-                let mut bits = live;
-                while bits != 0 {
-                    // lbq-check: allow(lossy-cast) — trailing_zeros < 64
-                    let i = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let p = &probes[i];
-                    let (perp, d_max, _) = frame[i];
-                    scan_leaf(
-                        &node.items,
-                        self.leaf_coords(node_id),
-                        p.q,
-                        p.dir,
-                        perp,
-                        d_max,
-                        p.t_max,
-                        p.inner,
-                        member_d2(&inner_d2, &frame, i, p),
-                        &mut out[i],
-                    );
-                }
-            } else {
-                // One rect-to-rect prescreen rejects far children for the
-                // whole chunk before any per-member bound runs: for every
-                // live member, mindist(q, child) ≥ mindist(G, child), and
-                // its keep radius is ≤ `r_live`. On a packed arena the
-                // prescreen distances come from the vectorized column
-                // prepass (same bits).
-                let keep_g = r_live * r_live;
-                macro_rules! consider_child {
-                    ($mbr:expr, $child:expr, $md_g:expr) => {{
-                        let mbr: &Rect = $mbr;
-                        let md_g: f64 = $md_g;
-                        if md_g <= keep_g {
-                            let hx = (mbr.xmax - mbr.xmin) * 0.5;
-                            let hy = (mbr.ymax - mbr.ymin) * 0.5;
-                            let mut child_mask = 0u64;
-                            let mut child_lb = f64::INFINITY;
-                            let mut bits = live;
-                            while bits != 0 {
-                                // lbq-check: allow(lossy-cast) — trailing_zeros < 64
-                                let i = bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                let p = &probes[i];
-                                let (perp, d_max, _) = frame[i];
-                                let h = mh[i];
-                                // Per-member loose bound + capsule,
-                                // exactly as in the single-query
-                                // traversal.
-                                let r = (2.0 * h + d_max) * (1.0 + RADIAL_SLACK);
-                                let keep_sq = mkeep[i];
-                                let md_sq = mbr.mindist_sq(p.q);
-                                if md_sq > keep_sq {
-                                    continue;
-                                }
-                                let c = p.q.to(mbr.center());
-                                let u_c = p.dir.dot(c);
-                                let u_half = p.dir.x.abs() * hx + p.dir.y.abs() * hy;
-                                let w_c = perp.dot(c);
-                                let w_half = perp.x.abs() * hx + perp.y.abs() * hy;
-                                let u_hi = d_max + 2.0 * h;
-                                let w_hi = d_max + h;
-                                let sl =
-                                    CAPSULE_SLACK * (r + u_c.abs() + w_c.abs() + u_half + w_half);
-                                if u_c + u_half < -d_max - sl
-                                    || u_c - u_half > u_hi + sl
-                                    || w_c.abs() - w_half > w_hi + sl
-                                {
-                                    continue;
-                                }
-                                let lb_i = ((md_sq.sqrt() - d_max) * 0.5).max(0.0);
-                                if lb_i <= h {
-                                    child_mask |= 1 << i;
-                                    child_lb = child_lb.min(lb_i);
-                                }
-                            }
-                            if child_mask != 0 {
-                                queue.push(Reverse(GroupEntry {
-                                    lb: OrdF64::new(child_lb),
-                                    node: $child,
-                                    mask: child_mask,
-                                    mbr: *mbr,
-                                }));
-                            }
-                        }
-                    }};
-                }
-                match self.child_mbr_cols(node_id) {
-                    Some(cols) => {
-                        crate::util::for_each_mindist_sq_rect(cols, &group_rect, |j, md_g| {
-                            consider_child!(&node.mbrs[j], node.children[j], md_g)
-                        })
-                    }
-                    None => {
-                        for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
-                            consider_child!(mbr, child, mbr.mindist_sq_rect(&group_rect))
-                        }
-                    }
-                }
-            }
-        }
-        scratch.tp_group_frame = frame;
-        scratch.tp_inner_d2 = inner_d2;
-        span.record("members", m);
-        span.record("found", out.iter().filter(|e| e.is_some()).count());
-        self.finish_query_span(&mut span, &probe_stats, before);
-    }
 }
 
 /// Scans one leaf's items, updating `best` in place.
@@ -796,20 +381,6 @@ impl RTree {
 /// keep every test strictly conservative against the ≲1e-14 rounding of
 /// the influence-time division, so pruned and unpruned scans return
 /// bit-identical events.
-/// The slice of precomputed `dist²(q, oᵢ)` belonging to group member
-/// `i` (see the frame-building loop of `tp_group_chunk`).
-#[inline]
-fn member_d2<'a>(
-    buf: &'a [f64],
-    frame: &[(Vec2, f64, u32)],
-    i: usize,
-    p: &TpProbe<'_>,
-) -> &'a [f64] {
-    // lbq-check: allow(lossy-cast) — u32 → usize is widening here
-    let start = frame[i].2 as usize;
-    &buf[start..start + p.inner.len()]
-}
-
 #[allow(clippy::too_many_arguments)]
 fn scan_leaf(
     items: &[Item],
@@ -1251,119 +822,5 @@ mod tests {
     fn empty_inner_set_rejected() {
         let (tree, _) = build(10, 1);
         let _ = tree.tp_knn(Point::ORIGIN, Vec2::new(1.0, 0.0), 1.0, &[]);
-    }
-
-    /// Probe fixtures shaped like a validity-loop round: a tight tile of
-    /// foci with varied directions, horizons, and inner-set sizes, plus
-    /// a few spread members.
-    fn group_fixture(tree: &RTree, n: usize) -> Vec<(Point, Vec2, f64, Vec<Item>)> {
-        let mut data = Vec::new();
-        for i in 0..n {
-            let q = Point::new(
-                0.48 + (i % 8) as f64 * 0.004,
-                0.52 + (i / 8 % 8) as f64 * 0.004,
-            );
-            let inner: Vec<Item> = tree
-                .knn(q, 1 + i % 4)
-                .into_iter()
-                .map(|(it, _)| it)
-                .collect();
-            let ang = i as f64 * 0.61;
-            let dir = Vec2::new(ang.cos(), ang.sin());
-            let t_max = 0.01 + (i % 5) as f64 * 0.08;
-            data.push((q, dir, t_max, inner));
-        }
-        for (j, &(x, y)) in [(0.05, 0.05), (0.95, 0.1), (0.9, 0.9)].iter().enumerate() {
-            let q = Point::new(x, y);
-            let inner: Vec<Item> = tree.knn(q, 2).into_iter().map(|(it, _)| it).collect();
-            data.push((q, Vec2::new(0.0, 1.0), 0.3 + j as f64 * 0.1, inner));
-        }
-        data
-    }
-
-    fn assert_group_matches_single(tree: &RTree, data: &[(Point, Vec2, f64, Vec<Item>)]) {
-        let probes: Vec<TpProbe<'_>> = data
-            .iter()
-            .map(|(q, dir, t_max, inner)| TpProbe {
-                q: *q,
-                dir: *dir,
-                t_max: *t_max,
-                inner,
-            })
-            .collect();
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
-        tree.tp_knn_group_in(&probes, &mut scratch, &mut out);
-        assert_eq!(out.len(), probes.len());
-        for (i, (p, got)) in probes.iter().zip(&out).enumerate() {
-            let want = tree.tp_knn_in(p.q, p.dir, p.t_max, p.inner, &mut scratch);
-            match (got, &want) {
-                (None, None) => {}
-                (Some(g), Some(w)) => {
-                    assert_eq!(g.time.to_bits(), w.time.to_bits(), "probe {i} time bits");
-                    assert_eq!(g.object.id, w.object.id, "probe {i} object");
-                    assert_eq!(g.partner.id, w.partner.id, "probe {i} partner");
-                }
-                (g, w) => panic!("probe {i} mismatch: {g:?} vs {w:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn group_probes_match_single_bit_for_bit() {
-        let (tree, _) = build(3000, 21);
-        let data = group_fixture(&tree, 40);
-        assert_group_matches_single(&tree, &data);
-    }
-
-    #[test]
-    fn group_chunks_beyond_64_members() {
-        let (tree, _) = build(800, 9);
-        let data = group_fixture(&tree, 70);
-        assert_group_matches_single(&tree, &data);
-    }
-
-    #[test]
-    fn group_degenerate_sizes() {
-        let (tree, _) = build(500, 3);
-        let mut scratch = QueryScratch::new();
-        let mut out = vec![None; 3];
-        tree.tp_knn_group_in(&[], &mut scratch, &mut out);
-        assert!(out.is_empty());
-        // Size 1 delegates to the single-query path.
-        let data = group_fixture(&tree, 0);
-        assert_group_matches_single(&tree, &data[..1]);
-    }
-
-    #[test]
-    fn grouped_tpnn_reads_fewer_nodes_on_a_tight_tile() {
-        let (tree, _) = build(20_000, 77);
-        let data: Vec<(Point, Vec2, f64, Vec<Item>)> =
-            group_fixture(&tree, 32).into_iter().take(32).collect();
-        let probes: Vec<TpProbe<'_>> = data
-            .iter()
-            .map(|(q, dir, t_max, inner)| TpProbe {
-                q: *q,
-                dir: *dir,
-                t_max: *t_max,
-                inner,
-            })
-            .collect();
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
-        let (_, grouped) = tree.with_stats(|t| {
-            t.tp_knn_group_in(&probes, &mut scratch, &mut out);
-        });
-        let (_, single) = tree.with_stats(|t| {
-            for p in &probes {
-                let _ = t.tp_knn_in(p.q, p.dir, p.t_max, p.inner, &mut scratch);
-            }
-        });
-        assert!(
-            grouped.node_accesses < single.node_accesses,
-            "shared frontier {} NA must beat {} per-probe NA on a tight tile",
-            grouped.node_accesses,
-            single.node_accesses
-        );
     }
 }

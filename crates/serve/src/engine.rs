@@ -12,13 +12,15 @@
 //!   costs 32 Mutex+Condvar handoffs instead of 1024, so the injector
 //!   lock stops being the bottleneck at high worker counts;
 //! * **spatial locality per worker** — consecutive queries of a tile
-//!   are Hilbert-adjacent, so a tile's cache-miss kNN queries descend
-//!   the same subtrees (and are answered *together* by the
-//!   shared-frontier [`lbq_rtree::RTree::knn_group_in`] traversal),
-//!   and its validity-region TPNN chains re-touch warm nodes.
+//!   are Hilbert-adjacent, so a tile's cache-miss queries descend the
+//!   same subtrees and its validity-region TPNN chains re-touch warm
+//!   nodes.
 //!
-//! Responses are un-permuted before `submit` returns: output order is
-//! request order, exactly as with per-query dispatch.
+//! Inside a tile every query is answered on its own, in Hilbert order:
+//! hot tier, then region cache, and on a miss one kNN (or window pass)
+//! plus its validity region — the paper's per-query cold path, on the
+//! thread's scratch. Responses are un-permuted before `submit` returns:
+//! output order is request order, exactly as with per-query dispatch.
 //!
 //! ## Inline single-tile submits
 //!
@@ -36,10 +38,9 @@ use crate::hot::{HotConfig, HotIndex, HotScratch, HotStats, HotTile};
 use crate::pool::{Job, Pool};
 use crate::{answer_on_with, QueryAnswer, QueryReq, QueryResp};
 use lbq_core::LbqServer;
-use lbq_geom::Point;
 use lbq_obs::{CacheTier, HistogramSummary, QueryEvent, QueryKind, StageNanos};
 use lbq_rtree::hilbert::{hilbert_key, KEY_ORDER};
-use lbq_rtree::{Item, QueryScratch, Stats};
+use lbq_rtree::{QueryScratch, Stats};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -55,10 +56,12 @@ pub struct EngineConfig {
     pub cache: CacheConfig,
     /// Queries per locality tile (clamped to ≥ 1). `submit` sorts each
     /// batch along the Hilbert curve of the query foci and dispatches
-    /// tiles of this many adjacent queries as single pool jobs; a
-    /// tile's cache-miss kNN queries are answered in one
-    /// shared-frontier traversal. `1` disables tiling: one query per
-    /// job, in submission order.
+    /// tiles of this many adjacent queries as single pool jobs, which
+    /// amortises pool hand-offs and keeps a worker's misses in one
+    /// neighbourhood; a batch of at most one tile is served inline.
+    /// `1` disables tiling: one query per job, in submission order.
+    /// Tiles no longer group their kNN misses into one traversal; the
+    /// field also stays because the benchmark report prints it.
     pub tile_size: usize,
     /// Hot-tile Voronoi fast-path policy ([`HotConfig::disabled`]
     /// turns the tier off; see `crate::hot`).
@@ -436,9 +439,7 @@ struct TileJob {
 }
 
 /// One tile being served on one thread — a pool worker or, inline, the
-/// submitter. Cache probes and window misses are answered query by
-/// query; the tile's cache-miss kNN queries are deferred, grouped by
-/// `k`, and answered through the shared-frontier group traversal.
+/// submitter. Every query is answered on its own, in tile order.
 struct TileRun<'a> {
     core: &'a Core,
     /// Query id of the batch's first request (`id = first_id + idx`).
@@ -512,11 +513,6 @@ impl TileRun<'_> {
             // mid-flight recording toggle.
             let _ = lbq_obs::take_stages();
         }
-        // Hot-tier hits and cache probes resolve in place, as do window
-        // misses; kNN misses are deferred so the tile can answer them as
-        // a group — each stashing the stage time of its probes and the
-        // hot tile (if promoted) it should memoize its fresh answer into.
-        let mut knn_miss: Vec<(usize, Point, usize, StageNanos, Option<Arc<HotTile>>)> = Vec::new();
         for &(idx, req) in tile {
             let start = Instant::now();
             let before = if recording {
@@ -567,150 +563,31 @@ impl TileRun<'_> {
                 let _probe = lbq_obs::stage_timer(lbq_obs::Stage::CacheLookup);
                 cache.lookup(&req)
             };
-            match hit {
-                Some(hit) => {
-                    let attr = recording.then(|| Attribution {
-                        req,
-                        tier: CacheTier::Cache,
-                        stages: lbq_obs::take_stages(),
-                        accesses: server.tree().stats().delta_since(before),
-                    });
-                    out.push((
-                        idx,
-                        self.respond(hit, CacheTier::Cache, elapsed_ns(start), idx, attr),
-                    ));
-                }
-                None => match req {
-                    QueryReq::Knn { q, k } => {
-                        let probe = if recording {
-                            lbq_obs::take_stages()
-                        } else {
-                            StageNanos::default()
-                        };
-                        knn_miss.push((idx, q, k, probe, hot_tile));
+            let (answer, tier) = match hit {
+                Some(hit) => (hit, CacheTier::Cache),
+                None => {
+                    // A miss of either kind is answered in place: one kNN
+                    // (or window pass) and its validity region on this
+                    // thread's scratch, memoized into both tiers.
+                    let fresh = Arc::new(answer_on_with(server, &req, scratch));
+                    cache.insert(&req, Arc::clone(&fresh));
+                    if let (Some(hot), Some(tile), QueryReq::Knn { k, .. }) = (hot, &hot_tile, req)
+                    {
+                        hot.memoize(tile, k, &fresh);
                     }
-                    QueryReq::Window { .. } => {
-                        let fresh = Arc::new(answer_on_with(server, &req, scratch));
-                        cache.insert(&req, Arc::clone(&fresh));
-                        let attr = recording.then(|| Attribution {
-                            req,
-                            tier: CacheTier::Tree,
-                            stages: lbq_obs::take_stages(),
-                            accesses: server.tree().stats().delta_since(before),
-                        });
-                        out.push((
-                            idx,
-                            self.respond(fresh, CacheTier::Tree, elapsed_ns(start), idx, attr),
-                        ));
-                    }
-                },
-            }
-        }
-        // Group the deferred kNN misses by k (preserving Hilbert order
-        // within each group) and answer each group in one traversal.
-        let mut handled = vec![false; knn_miss.len()];
-        for i in 0..knn_miss.len() {
-            if handled[i] {
-                continue;
-            }
-            let k = knn_miss[i].2;
-            let group: Vec<usize> = (i..knn_miss.len())
-                .filter(|&j| !handled[j] && knn_miss[j].2 == k)
-                .collect();
-            for &j in &group {
-                handled[j] = true;
-            }
-            if group.len() == 1 {
-                let (idx, q, _, probe, ref hot_tile) = knn_miss[i];
-                let req = QueryReq::knn(q, k);
-                let start = Instant::now();
-                let before = if recording {
-                    server.tree().stats()
-                } else {
-                    Stats::default()
-                };
-                let fresh = Arc::new(answer_on_with(server, &req, scratch));
-                cache.insert(&req, Arc::clone(&fresh));
-                if let (Some(hot), Some(tile)) = (hot, hot_tile) {
-                    hot.memoize(tile, k, &fresh);
+                    (fresh, CacheTier::Tree)
                 }
-                let attr = recording.then(|| Attribution {
-                    req,
-                    tier: CacheTier::Tree,
-                    // The stashed probe time plus this query's own
-                    // tree traversal.
-                    stages: probe.saturating_add(lbq_obs::take_stages()),
-                    accesses: server.tree().stats().delta_since(before),
-                });
-                out.push((
-                    idx,
-                    self.respond(fresh, CacheTier::Tree, elapsed_ns(start), idx, attr),
-                ));
-                continue;
-            }
-            // Shared-frontier kNN for the whole group, then per-query
-            // validity regions. Results are bit-identical to per-query
-            // `knn_in` (see `lbq_rtree::RTree::knn_group_in`).
-            let points: Vec<Point> = group.iter().map(|&j| knn_miss[j].1).collect();
-            let t_group = Instant::now();
-            let before = if recording {
-                server.tree().stats()
-            } else {
-                Stats::default()
             };
-            let stride = k.min(server.tree().len());
-            let results: Vec<Vec<Item>> = if stride == 0 {
-                vec![Vec::new(); points.len()]
-            } else {
-                server
-                    .tree()
-                    .knn_group_in(&points, k, scratch)
-                    .chunks(stride)
-                    .map(|c| c.iter().map(|&(it, _)| it).collect())
-                    .collect()
-            };
-            record_group_knn(group.len() as u64);
-            // Grouped validity regions: the members' TPNN probes run in
-            // shared-frontier rounds, giving responses byte-identical to
-            // the per-query path (see
-            // `LbqServer::knn_responses_from_results_group_in`). Both
-            // traversals served every member at once; amortize their
-            // cost evenly across the group for per-query latency — and
-            // for stage attribution and tree-access deltas alike.
-            let resps = server.knn_responses_from_results_group_in(&points, results, scratch);
-            let members = group.len() as u64;
-            let shared_ns = elapsed_ns(t_group) / members;
-            let (shared_stages, shared_accesses) = if recording {
-                let d = server.tree().stats().delta_since(before);
-                (
-                    lbq_obs::take_stages().amortized(members),
-                    Stats {
-                        node_accesses: d.node_accesses / members,
-                        page_faults: d.page_faults / members,
-                    },
-                )
-            } else {
-                (StageNanos::default(), Stats::default())
-            };
-            for (&j, resp) in group.iter().zip(resps) {
-                let (idx, q, _, probe, ref hot_tile) = knn_miss[j];
-                let fresh = Arc::new(QueryAnswer::Knn(resp));
-                let req = QueryReq::knn(q, k);
-                cache.insert(&req, Arc::clone(&fresh));
-                if let (Some(hot), Some(tile)) = (hot, hot_tile) {
-                    hot.memoize(tile, k, &fresh);
-                }
-                let attr = recording.then(|| Attribution {
-                    req,
-                    tier: CacheTier::TreeGroup,
-                    stages: probe.saturating_add(shared_stages),
-                    accesses: shared_accesses,
-                });
-                out.push((
-                    idx,
-                    self.respond(fresh, CacheTier::TreeGroup, shared_ns, idx, attr),
-                ));
-            }
+            let attr = recording.then(|| Attribution {
+                req,
+                tier,
+                stages: lbq_obs::take_stages(),
+                accesses: server.tree().stats().delta_since(before),
+            });
+            out.push((
+                idx,
+                self.respond(answer, tier, elapsed_ns(start), idx, attr),
+            ));
         }
     }
 
@@ -779,16 +656,6 @@ fn sat32(v: u64) -> u32 {
 
 fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Counts queries answered through the shared-frontier group-kNN path
-/// (cached handle: metric lookup once per process).
-fn record_group_knn(count: u64) {
-    use std::sync::OnceLock;
-    static GROUP: OnceLock<lbq_obs::Counter> = OnceLock::new();
-    GROUP
-        .get_or_init(|| lbq_obs::counter("serve-group-knn"))
-        .add(count);
 }
 
 /// Feeds the hot-tier hit/miss counters (cached handles: metric lookup
@@ -1075,14 +942,11 @@ mod tests {
         let total = ids.len() as u64;
         assert_eq!(total, 4 * 3 * 36);
         for thread in &seen_inline {
-            for tier in [
-                CacheTier::Tree,
-                CacheTier::TreeGroup,
-                CacheTier::Cache,
-                CacheTier::HotVoronoi,
-            ] {
+            for tier in [CacheTier::Tree, CacheTier::Cache, CacheTier::HotVoronoi] {
                 assert!(thread.iter().any(|s| s.1 == tier), "no {tier:?} response");
             }
+            // Every miss takes the per-query path, inline or pooled.
+            assert!(thread.iter().all(|s| s.1 != CacheTier::TreeGroup));
         }
         // Ids are unique across the concurrent submitters.
         ids.sort_unstable();

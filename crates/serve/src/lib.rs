@@ -16,8 +16,7 @@
 //!   NN processing work in PAPERS.md); `submit` orders the batch along
 //!   the Hilbert curve of the query foci and dispatches **locality
 //!   tiles** of [`EngineConfig::tile_size`] adjacent queries as single
-//!   jobs, whose cache-miss kNN members are answered through the
-//!   tree's shared-frontier group traversal — responses stay
+//!   jobs, each query of a tile answered on its own — responses stay
 //!   byte-identical to untiled dispatch, in submission order;
 //! * a **sharded LRU validity-region cache** ([`RegionCache`]) in front
 //!   of the tree: an incoming query whose focus falls inside a cached
@@ -37,7 +36,7 @@
 //! With recording armed ([`lbq_obs::init_recorder`], or
 //! `LBQ_OBS_SNAPSHOT` via [`lbq_obs::install_exporter_from_env`]), the
 //! engine additionally threads a [`QueryResp::query_id`] through the
-//! submit → Hilbert-tile → group-kNN/cache → tree pipeline and
+//! submit → Hilbert-tile → hot/cache → tree pipeline and
 //! attributes every response's latency to pipeline stages
 //! ([`QueryResp::stages`]); each answered query feeds the
 //! `serve-tile-heat` hot-tile heatmap and the flight recorder
@@ -197,9 +196,10 @@ pub struct QueryResp {
     /// without touching the tree. Kept for compatibility — always
     /// equal to `tier == CacheTier::Cache`.
     pub from_cache: bool,
-    /// Which tier produced the answer: full tree traversal (solo or
-    /// group-amortized), the validity-region cache, or the hot-tile
-    /// Voronoi fast path ([`HotConfig`]).
+    /// Which tier produced the answer: full tree traversal, the
+    /// validity-region cache, or the hot-tile Voronoi fast path
+    /// ([`HotConfig`]). The engine never reports
+    /// [`CacheTier::TreeGroup`].
     pub tier: CacheTier,
     /// Index of the worker that served the request.
     pub worker: usize,
@@ -210,13 +210,10 @@ pub struct QueryResp {
     /// assigned at `submit` in request order — stable across tiling,
     /// worker scheduling, and recording on/off.
     pub query_id: u64,
-    /// Per-stage breakdown of where this query's time went (cache
-    /// lookup, tree/group kNN, TPNN chain, clip, window pass). All
-    /// zeros unless recording is on ([`lbq_obs::init_recorder`]).
-    /// Stage sums can differ slightly from `latency_ns`: the cache
-    /// probe of a deferred kNN miss is attributed here but precedes
-    /// the latency window, and group-shared stages are amortized the
-    /// same way `latency_ns` is.
+    /// Per-stage breakdown of where this query's time went (hot and
+    /// cache lookup, tree kNN, TPNN chain, clip, window pass), timed
+    /// inside the `latency_ns` window. All zeros unless recording is
+    /// on ([`lbq_obs::init_recorder`]).
     pub stages: lbq_obs::StageNanos,
 }
 

@@ -91,16 +91,16 @@ fn attribution_recorder_and_heatmap_end_to_end() {
             r.query_id
         );
     }
-    // kNN misses spend time in a tree stage; windows in the window pass.
+    // kNN misses spend time in the tree kNN; windows in the window pass.
     let knn_ns: u64 = misses
         .iter()
-        .map(|r| r.stages.get(lbq_obs::Stage::TreeKnn) + r.stages.get(lbq_obs::Stage::GroupKnn))
+        .map(|r| r.stages.get(lbq_obs::Stage::TreeKnn))
         .sum();
     let window_ns: u64 = misses
         .iter()
         .map(|r| r.stages.get(lbq_obs::Stage::WindowPass))
         .sum();
-    assert!(knn_ns > 0, "no time attributed to tree/group kNN");
+    assert!(knn_ns > 0, "no time attributed to tree kNN");
     assert!(window_ns > 0, "no time attributed to the window pass");
 
     // A second identical batch is served from cache: its responses

@@ -14,8 +14,11 @@ use lbq_core::LbqServer;
 use lbq_data::uniform;
 use lbq_geom::{Point, Rect};
 use lbq_rng::Xoshiro256ss;
-use lbq_rtree::{RTree, RTreeConfig};
-use lbq_serve::{answer_on, CacheConfig, Engine, EngineConfig, QueryReq};
+use lbq_rtree::{QueryScratch, RTree, RTreeConfig};
+use lbq_serve::{
+    answer_on, answer_on_with, CacheConfig, CacheTier, Engine, EngineConfig, HotConfig,
+    QueryAnswer, QueryReq,
+};
 use std::sync::Arc;
 
 fn build_server(n: usize, seed: u64) -> Arc<LbqServer> {
@@ -74,8 +77,7 @@ fn parallel_results_byte_identical_to_sequential() {
 
 #[test]
 fn tiled_dispatch_byte_identical_to_untiled() {
-    // The Hilbert tiling (and the shared-frontier group kNN inside it)
-    // must be invisible in the output: same responses, same order, for
+    // The Hilbert tiling must be invisible in the output: same responses, same order, for
     // every tile size — including tiles that mix kNN ks and windows,
     // and duplicate foci that land in one tile.
     let server = build_server(4_000, 19);
@@ -119,6 +121,68 @@ fn tiled_dispatch_byte_identical_to_untiled() {
             total,
             reqs.len() as u64,
             "per-query accounting survives tiling"
+        );
+    }
+}
+
+/// Everything of a kNN answer that the cold path computes: result ids
+/// in order, influence pair ids in discovery order, polygon vertex
+/// bits and the TPNN probe count.
+type KnnFingerprint = (Vec<u64>, Vec<(u64, u64)>, Vec<(u64, u64)>, usize);
+
+fn knn_fingerprint(answer: &QueryAnswer) -> KnnFingerprint {
+    let QueryAnswer::Knn(nn) = answer else {
+        panic!("kNN request answered with a window");
+    };
+    (
+        nn.result.iter().map(|i| i.id).collect(),
+        nn.validity
+            .pairs
+            .iter()
+            .map(|p| (p.inner.id, p.outer.id))
+            .collect(),
+        nn.validity
+            .polygon
+            .vertices()
+            .iter()
+            .map(|v| (v.x.to_bits(), v.y.to_bits()))
+            .collect(),
+        nn.tpnn_queries,
+    )
+}
+
+#[test]
+fn pooled_knn_batch_matches_the_per_query_kernel() {
+    // A closed-loop-sized batch of uniform kNN misses through the
+    // default pooled engine: every tile holds many same-k misses, and
+    // each must come back exactly as the per-query kernel answers it
+    // alone on a fresh scratch.
+    let server = build_server(20_000, 61);
+    let engine = Engine::new(
+        Arc::clone(&server),
+        EngineConfig {
+            cache: CacheConfig::disabled(),
+            hot: HotConfig::disabled(),
+            ..EngineConfig::default()
+        },
+    );
+    let mut rng = Xoshiro256ss::seed_from_u64(67);
+    let reqs: Vec<QueryReq> = (0..256)
+        .map(|i| {
+            let p = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
+            QueryReq::knn(p, [1, 4, 10][i % 3])
+        })
+        .collect();
+    assert!(reqs.len() > engine.tile_size(), "batch must take the pool");
+    let resps = engine.submit(reqs.clone());
+    assert_eq!(resps.len(), reqs.len());
+    for (i, (req, resp)) in reqs.iter().zip(&resps).enumerate() {
+        assert_eq!(resp.tier, CacheTier::Tree, "request {i}");
+        let alone = answer_on_with(&server, req, &mut QueryScratch::new());
+        assert_eq!(
+            knn_fingerprint(&resp.answer),
+            knn_fingerprint(&alone),
+            "request {i} diverged from the per-query kernel"
         );
     }
 }

@@ -95,7 +95,7 @@ fn main() {
     let mut submitted = 0u64; // requests reaching the engine
     let mut hot_hits = 0u64; // answered by the hot-tile Voronoi tier
     let mut cache_hits = 0u64; // answered by the server region cache
-    let mut tree_queries = 0u64; // full traversals (solo or grouped)
+    let mut tree_queries = 0u64; // full traversals
     let started = Instant::now();
     let stats_before = server.tree().stats();
     for step in 0..=steps {
@@ -118,7 +118,8 @@ fn main() {
             match resp.tier {
                 CacheTier::HotVoronoi => hot_hits += 1,
                 CacheTier::Cache => cache_hits += 1,
-                CacheTier::Tree | CacheTier::TreeGroup => tree_queries += 1,
+                CacheTier::Tree => tree_queries += 1,
+                CacheTier::TreeGroup => unreachable!("the engine answers every miss alone"),
             }
             clients[owner].cached = Some(resp.answer);
         }
