@@ -1,8 +1,8 @@
 //! Steady-state zero allocation of the cold-path kernels: once one
 //! [`QueryScratch`] is warm on the exact call shapes, `RTree::knn_in`,
 //! `RTree::tp_nn_in` and `retrieve_influence_set_in` never touch the
-//! heap — on a `bulk_load` tree and on its `repack()`ed twin. The
-//! runtime twin of the `hot` annotations `lbq-check` verifies statically.
+//! heap. The runtime twin of the `hot` annotations `lbq-check` verifies
+//! statically.
 //!
 //! Counts come from the allocator shim shared with `lbq-obs`'s
 //! zero-allocation test and are per thread, so the test harness cannot
@@ -45,39 +45,36 @@ fn warm_scratch_kernels_allocate_nothing() {
         })
         .collect();
 
-    let built = RTree::bulk_load(data.items, RTreeConfig::paper());
-    let packed = built.repack();
-    for (name, tree) in [("bulk_load", &built), ("repack", &packed)] {
-        let mut scratch = QueryScratch::new();
-        let inners: Vec<Item> = foci
-            .iter()
-            .map(|&q| tree.knn_in(q, 1, &mut scratch)[0].0)
-            .collect();
-        let mut knn = |j: usize| {
-            black_box(tree.knn_in(foci[j], K, &mut scratch).len());
-        };
-        allocs_over(32, &mut knn);
-        assert_eq!(allocs_over(200, &mut knn), 0, "{name}: knn_in");
+    let tree = RTree::bulk_load(data.items, RTreeConfig::paper());
+    let mut scratch = QueryScratch::new();
+    let inners: Vec<Item> = foci
+        .iter()
+        .map(|&q| tree.knn_in(q, 1, &mut scratch)[0].0)
+        .collect();
+    let mut knn = |j: usize| {
+        black_box(tree.knn_in(foci[j], K, &mut scratch).len());
+    };
+    allocs_over(32, &mut knn);
+    assert_eq!(allocs_over(200, &mut knn), 0, "knn_in");
 
-        let mut tpnn = |j: usize| {
-            black_box(tree.tp_nn_in(foci[j], dirs[j], T_MAX, inners[j], &mut scratch));
-        };
-        allocs_over(32, &mut tpnn);
-        assert_eq!(allocs_over(200, &mut tpnn), 0, "{name}: tp_nn_in");
+    let mut tpnn = |j: usize| {
+        black_box(tree.tp_nn_in(foci[j], dirs[j], T_MAX, inners[j], &mut scratch));
+    };
+    allocs_over(32, &mut tpnn);
+    assert_eq!(allocs_over(200, &mut tpnn), 0, "tp_nn_in");
 
-        // The whole region retrieval (TPNN chain + pair list + polygon
-        // clipping) runs on the scratch too.
-        let mut region = |j: usize| {
-            let inner = std::slice::from_ref(&inners[j]);
-            black_box(retrieve_influence_set_in(tree, foci[j], inner, universe, &mut scratch).1);
-        };
-        allocs_over(QUERIES, &mut region);
-        let region_allocs = allocs_over(100, &mut region);
-        // Debug builds clone every region into the invariant trap
-        // (`invariants::debug_validate_nn`); ci.sh runs this test under
-        // `--release`, where the trap is compiled out.
-        if !cfg!(debug_assertions) {
-            assert_eq!(region_allocs, 0, "{name}: retrieve_influence_set_in");
-        }
+    // The whole region retrieval (TPNN chain + pair list + polygon
+    // clipping) runs on the scratch too.
+    let mut region = |j: usize| {
+        let inner = std::slice::from_ref(&inners[j]);
+        black_box(retrieve_influence_set_in(&tree, foci[j], inner, universe, &mut scratch).1);
+    };
+    allocs_over(QUERIES, &mut region);
+    let region_allocs = allocs_over(100, &mut region);
+    // Debug builds clone every region into the invariant trap
+    // (`invariants::debug_validate_nn`); ci.sh runs this test under
+    // `--release`, where the trap is compiled out.
+    if !cfg!(debug_assertions) {
+        assert_eq!(region_allocs, 0, "retrieve_influence_set_in");
     }
 }

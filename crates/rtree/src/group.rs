@@ -138,51 +138,16 @@ impl RTree {
                 let node = self.node(node_id);
                 probe.visit(node.level);
                 if node.is_leaf() {
-                    match self.leaf_coords(node_id) {
-                        // Packed arena: per query, one vectorized
-                        // distance prepass over the column mirror.
-                        // Candidate sets are independent, so flipping
-                        // the loop nest query-outer leaves each set's
-                        // offer sequence (leaf item order) unchanged.
-                        Some((xs, ys)) => {
-                            for (c, &q) in group[..m].iter_mut().zip(queries) {
-                                // Entry worst is the loosest gate this
-                                // member's scan will see (it only
-                                // shrinks); the per-item check re-applies
-                                // the current one (see
-                                // `for_each_d2_within`).
-                                let gate = if c.full() { c.worst() } else { f64::INFINITY };
-                                crate::util::for_each_d2_within(xs, ys, q, gate, |j, d2| {
-                                    if !c.full() || d2 <= c.worst() {
-                                        c.consider(d2, node.items[j]);
-                                    }
-                                });
-                            }
-                        }
-                        None => {
-                            for &item in &node.items {
-                                for (c, &q) in group[..m].iter_mut().zip(queries) {
-                                    c.consider(q.dist_sq(item.point), item);
-                                }
-                            }
+                    for &item in &node.items {
+                        for (c, &q) in group[..m].iter_mut().zip(queries) {
+                            c.consider(q.dist_sq(item.point), item);
                         }
                     }
                 } else {
-                    match self.child_mbr_cols(node_id) {
-                        Some(cols) => {
-                            crate::util::for_each_mindist_sq_rect(cols, &group_rect, |j, lb| {
-                                if lb <= max_worst {
-                                    queue.push(Reverse((OrdF64::new(lb), node.children[j])));
-                                }
-                            })
-                        }
-                        None => {
-                            for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
-                                let lb = mbr.mindist_sq_rect(&group_rect);
-                                if lb <= max_worst {
-                                    queue.push(Reverse((OrdF64::new(lb), child)));
-                                }
-                            }
+                    for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
+                        let lb = mbr.mindist_sq_rect(&group_rect);
+                        if lb <= max_worst {
+                            queue.push(Reverse((OrdF64::new(lb), child)));
                         }
                     }
                 }

@@ -1,14 +1,13 @@
 //! Hilbert space-filling curve keys.
 //!
-//! The locality pipeline (DESIGN.md §12) orders three things by the
-//! same curve: leaf items inside a [`crate::RTree::repack`]ed arena,
-//! sibling subtrees inside internal nodes, and the query stream of a
-//! served batch (`lbq-serve` sorts each batch by the Hilbert key of the
-//! query focus before chunking it into locality tiles). The Hilbert
-//! curve is the standard choice because consecutive keys are always
-//! **grid neighbors** (unlike the Z-order curve, which jumps), so
-//! key-adjacent queries touch overlapping R-tree subtrees and
-//! key-adjacent leaves hold spatially adjacent points.
+//! The locality pipeline (DESIGN.md §12) orders the query stream of a
+//! served batch by this curve (`lbq-serve` sorts each batch by the
+//! Hilbert key of the query focus before chunking it into locality
+//! tiles), and a key prefix names the tile footprint the hot tier and
+//! the heatmap aggregate over ([`tile_rect`]). The Hilbert curve is the
+//! standard choice because consecutive keys are always **grid
+//! neighbors** (unlike the Z-order curve, which jumps), so key-adjacent
+//! queries touch overlapping R-tree subtrees.
 //!
 //! The implementation is the classical iterative rotate-and-flip
 //! mapping on a `2^order × 2^order` grid (Hamilton's compact form):
@@ -246,10 +245,10 @@ mod tests {
 
     #[test]
     fn stable_sort_on_duplicate_points_preserves_input_order() {
-        // The repack and tile sorts rely on slice::sort_by_key being
-        // stable: duplicate points (equal keys) must keep their
-        // original relative order, so repeated repacks are idempotent
-        // and tiled batches reproduce the untiled response order.
+        // Key sorts that must be reproducible rely on slice::sort_by_key
+        // being stable: duplicate points (equal keys) keep their
+        // original relative order, so tiled batches reproduce the
+        // untiled response order.
         let u = Rect::new(0.0, 0.0, 1.0, 1.0);
         let dup = Point::new(0.25, 0.75);
         let mut tagged: Vec<(Point, usize)> = vec![

@@ -33,13 +33,9 @@
 //!   caller-owned working buffers, so a warmed-up query performs zero
 //!   heap allocations. Nodes are stored struct-of-arrays (parallel
 //!   MBR/child arrays, plain item arrays in leaves) so the scan loops
-//!   stream contiguous rects. See DESIGN.md §11.
-//! * **Hilbert-packed arenas**: [`RTree::repack`] rewrites a finished
-//!   tree into descent-order arena layout with Hilbert-sorted siblings
-//!   ([`RTree::bulk_load_packed`] composes it with STR), carrying a
-//!   column mirror of leaf coordinates and child MBRs that the scan
-//!   kernels vectorize over — every query stays bit-identical to the
-//!   source tree. See DESIGN.md §12.
+//!   stream contiguous rects. There is one arena layout — the one
+//!   [`RTree::bulk_load`] and [`RTree::insert`] leave behind — and one
+//!   scan per kernel over it. See DESIGN.md §11.
 //! * **Shared-frontier group kNN** ([`RTree::knn_group_in`]): a tile of
 //!   co-located queries in one traversal, bit-identical per member to
 //!   [`RTree::knn_in`]. No serving path calls it any more (cold misses
@@ -71,7 +67,6 @@ mod nn;
 mod node;
 mod probe;
 mod query;
-mod repack;
 mod scratch;
 mod stats;
 mod tp;

@@ -100,46 +100,14 @@ impl RTree {
             let node = self.node(node_id);
             probe.visit(node.level);
             if node.is_leaf() {
-                match self.leaf_coords(node_id) {
-                    // Packed arena: masked distance prepass over the
-                    // column mirror, then offer only the items that can
-                    // still displace a candidate. The entry worst is the
-                    // loosest gate this scan will see (it only shrinks),
-                    // the per-item check re-applies the current one, and
-                    // `consider` rejects strictly-worse items itself, so
-                    // the skip changes nothing but the work done.
-                    Some((xs, ys)) => {
-                        let gate = if cands.full() {
-                            cands.worst()
-                        } else {
-                            f64::INFINITY
-                        };
-                        crate::util::for_each_d2_within(xs, ys, q, gate, |j, d2| {
-                            if !cands.full() || d2 <= cands.worst() {
-                                cands.consider(d2, node.items[j]);
-                            }
-                        });
-                    }
-                    None => {
-                        for &item in &node.items {
-                            cands.consider(q.dist_sq(item.point), item);
-                        }
-                    }
+                for &item in &node.items {
+                    cands.consider(q.dist_sq(item.point), item);
                 }
             } else {
-                match self.child_mbr_cols(node_id) {
-                    Some(cols) => crate::util::for_each_mindist_sq(cols, q, |j, lb| {
-                        if !cands.full() || lb <= cands.worst() {
-                            queue.push(Reverse((OrdF64::new(lb), node.children[j])));
-                        }
-                    }),
-                    None => {
-                        for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
-                            let lb = mbr.mindist_sq(q);
-                            if !cands.full() || lb <= cands.worst() {
-                                queue.push(Reverse((OrdF64::new(lb), child)));
-                            }
-                        }
+                for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
+                    let lb = mbr.mindist_sq(q);
+                    if !cands.full() || lb <= cands.worst() {
+                        queue.push(Reverse((OrdF64::new(lb), child)));
                     }
                 }
             }
@@ -207,25 +175,8 @@ impl RTree {
             let node = self.node(node_id);
             probe.visit(node.level);
             if node.is_leaf() {
-                match self.leaf_coords(node_id) {
-                    // Same masked-gate reasoning as the best-first scan.
-                    Some((xs, ys)) => {
-                        let gate = if cands.full() {
-                            cands.worst()
-                        } else {
-                            f64::INFINITY
-                        };
-                        crate::util::for_each_d2_within(xs, ys, q, gate, |j, d2| {
-                            if !cands.full() || d2 <= cands.worst() {
-                                cands.consider(d2, node.items[j]);
-                            }
-                        });
-                    }
-                    None => {
-                        for &item in &node.items {
-                            cands.consider(q.dist_sq(item.point), item);
-                        }
-                    }
+                for &item in &node.items {
+                    cands.consider(q.dist_sq(item.point), item);
                 }
                 continue;
             }
@@ -233,17 +184,12 @@ impl RTree {
             // heuristic), pruning against the evolving k-th best.
             let order = &mut scratch.order;
             order.clear();
-            match self.child_mbr_cols(node_id) {
-                Some(cols) => crate::util::for_each_mindist_sq(cols, q, |j, lb| {
-                    order.push((lb, node.children[j]));
-                }),
-                None => order.extend(
-                    node.mbrs
-                        .iter()
-                        .zip(&node.children)
-                        .map(|(mbr, &child)| (mbr.mindist_sq(q), child)),
-                ),
-            }
+            order.extend(
+                node.mbrs
+                    .iter()
+                    .zip(&node.children)
+                    .map(|(mbr, &child)| (mbr.mindist_sq(q), child)),
+            );
             order.sort_by(|a, b| a.0.total_cmp(&b.0));
             // Reversed: the closest child must be popped first.
             stack.extend(order.iter().rev().copied());

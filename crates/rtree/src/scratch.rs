@@ -71,9 +71,9 @@ impl CandidateSet {
     /// it beats the current worst under the total `(dist_sq, id)` order
     /// (which is then evicted). Breaking distance ties by id — instead
     /// of first-seen-wins — makes the surviving k a function of the
-    /// *point set alone*, not of traversal order, which is what lets a
-    /// [`crate::RTree::repack`]ed tree and the shared-frontier group kNN
-    /// promise bit-identical results.
+    /// *point set alone*, not of traversal order, which is what lets an
+    /// insert-built tree, a bulk-loaded one and the shared-frontier
+    /// group kNN promise bit-identical results.
     pub(crate) fn consider(&mut self, dist_sq: f64, item: Item) {
         if self.full() {
             // lbq-check: allow(no-unwrap-core) — full() implies k ≥ 1 slot

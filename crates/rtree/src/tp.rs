@@ -227,7 +227,6 @@ impl RTree {
                 if node.is_leaf() {
                     scan_leaf(
                         &node.items,
-                        self.leaf_coords(dive),
                         q,
                         dir,
                         perp,
@@ -239,27 +238,17 @@ impl RTree {
                     );
                     break;
                 }
-                // The mindist-closest child (strict `<`: first minimum
-                // wins, so the pick is layout-independent).
+                // The mindist-closest child (strict `<`: the first
+                // minimum wins; a child containing `q` cannot be beaten).
                 let mut next = None;
                 let mut next_md = f64::INFINITY;
-                match self.child_mbr_cols(dive) {
-                    Some(cols) => crate::util::for_each_mindist_sq(cols, q, |j, md| {
-                        if md < next_md {
-                            next_md = md;
-                            next = Some(node.children[j]);
-                        }
-                    }),
-                    None => {
-                        for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
-                            let md = mbr.mindist_sq(q);
-                            if md < next_md {
-                                next_md = md;
-                                next = Some(child);
-                                if md <= 0.0 {
-                                    break;
-                                }
-                            }
+                for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
+                    let md = mbr.mindist_sq(q);
+                    if md < next_md {
+                        next_md = md;
+                        next = Some(child);
+                        if md <= 0.0 {
+                            break;
                         }
                     }
                 }
@@ -280,7 +269,6 @@ impl RTree {
             if node.is_leaf() {
                 scan_leaf(
                     &node.items,
-                    self.leaf_coords(node_id),
                     q,
                     dir,
                     perp,
@@ -310,47 +298,30 @@ impl RTree {
                         let keep_sq = r * r;
                         let u_hi = d_max + 2.0 * horizon;
                         let w_hi = d_max + horizon;
-                        // Per-child body shared by the row and column
-                        // layouts; the column path feeds the same
-                        // `mindist²` bits from its vectorized prepass.
-                        macro_rules! consider_child {
-                            ($mbr:expr, $child:expr, $md_sq:expr) => {{
-                                let mbr: &Rect = $mbr;
-                                let md_sq: f64 = $md_sq;
-                                if md_sq <= keep_sq {
-                                    // Directional capsule prune (see
-                                    // `perp` above), on the MBR's
-                                    // interval images in the rotated
-                                    // frame: center projection ±
-                                    // half-extent.
-                                    let c = q.to(mbr.center());
-                                    let hx = (mbr.xmax - mbr.xmin) * 0.5;
-                                    let hy = (mbr.ymax - mbr.ymin) * 0.5;
-                                    let u_c = dir.dot(c);
-                                    let u_half = dir.x.abs() * hx + dir.y.abs() * hy;
-                                    let w_c = perp.dot(c);
-                                    let w_half = perp.x.abs() * hx + perp.y.abs() * hy;
-                                    let sl = CAPSULE_SLACK
-                                        * (r + u_c.abs() + w_c.abs() + u_half + w_half);
-                                    if !(u_c + u_half < -d_max - sl
-                                        || u_c - u_half > u_hi + sl
-                                        || w_c.abs() - w_half > w_hi + sl)
-                                    {
-                                        let lb = ((md_sq.sqrt() - d_max) * 0.5).max(0.0);
-                                        if lb <= horizon {
-                                            queue.push(Reverse((OrdF64::new(lb), $child)));
-                                        }
+                        for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
+                            let md_sq = mbr.mindist_sq(q);
+                            if md_sq <= keep_sq {
+                                // Directional capsule prune (see `perp`
+                                // above), on the MBR's interval images in
+                                // the rotated frame: center projection ±
+                                // half-extent.
+                                let c = q.to(mbr.center());
+                                let hx = (mbr.xmax - mbr.xmin) * 0.5;
+                                let hy = (mbr.ymax - mbr.ymin) * 0.5;
+                                let u_c = dir.dot(c);
+                                let u_half = dir.x.abs() * hx + dir.y.abs() * hy;
+                                let w_c = perp.dot(c);
+                                let w_half = perp.x.abs() * hx + perp.y.abs() * hy;
+                                let sl =
+                                    CAPSULE_SLACK * (r + u_c.abs() + w_c.abs() + u_half + w_half);
+                                if !(u_c + u_half < -d_max - sl
+                                    || u_c - u_half > u_hi + sl
+                                    || w_c.abs() - w_half > w_hi + sl)
+                                {
+                                    let lb = ((md_sq.sqrt() - d_max) * 0.5).max(0.0);
+                                    if lb <= horizon {
+                                        queue.push(Reverse((OrdF64::new(lb), child)));
                                     }
-                                }
-                            }};
-                        }
-                        match self.child_mbr_cols(node_id) {
-                            Some(cols) => crate::util::for_each_mindist_sq(cols, q, |j, md_sq| {
-                                consider_child!(&node.mbrs[j], node.children[j], md_sq)
-                            }),
-                            None => {
-                                for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
-                                    consider_child!(mbr, child, mbr.mindist_sq(q))
                                 }
                             }
                         }
@@ -384,7 +355,6 @@ impl RTree {
 #[allow(clippy::too_many_arguments)]
 fn scan_leaf(
     items: &[Item],
-    coords: Option<(&[f64], &[f64])>,
     q: Point,
     dir: Vec2,
     perp: Vec2,
@@ -401,66 +371,34 @@ fn scan_leaf(
         (r * r, -d_max - sl, d_max + 2.0 * h + sl, d_max + h + sl)
     };
     let (mut reach_sq, mut u_lo, mut u_hi, mut w_abs) = thresholds(horizon);
-    // The per-item body, shared verbatim by the row and column layouts:
-    // what differs between them is only where `dp_sq` and the rotated
-    // projections come from. `$u`/`$w` are evaluated lazily, only past
-    // the reach gate — most items fail it, so both layouts skip the dot
-    // products of far items; the column layout recomputes the offset
-    // from the coordinate mirror with the same ops (IEEE subtraction is
-    // deterministic), keeping the projections bit-identical.
-    macro_rules! consider {
-        ($item:expr, $dp_sq:expr, $u:expr, $w:expr) => {{
-            let item: Item = $item;
-            let dp_sq: f64 = $dp_sq;
-            if dp_sq <= reach_sq {
-                let u: f64 = $u;
-                let w: f64 = $w;
-                if u >= u_lo
-                    && u <= u_hi
-                    && w.abs() <= w_abs
-                    && !inner.iter().any(|o| o.id == item.id)
+    for &item in items {
+        let v = q.to(item.point);
+        let dp_sq = v.dot(v);
+        // The rotated projections only past the reach gate: most items
+        // fail it, so far items skip both dot products.
+        if dp_sq <= reach_sq {
+            let u = dir.dot(v);
+            let w = perp.dot(v);
+            if u >= u_lo && u <= u_hi && w.abs() <= w_abs && !inner.iter().any(|o| o.id == item.id)
+            {
+                if let Some((t, partner)) =
+                    influence_time_from(dp_sq, dir, item.point, inner, inner_d2, horizon)
                 {
-                    if let Some((t, partner)) =
-                        influence_time_from(dp_sq, dir, item.point, inner, inner_d2, horizon)
-                    {
-                        let better = t < horizon
-                            || (t <= horizon
-                                && best
-                                    .as_ref()
-                                    .is_some_and(|b| t == b.time && item.id < b.object.id));
-                        if t <= t_max && better {
-                            *best = Some(TpEvent {
-                                object: item,
-                                partner,
-                                time: t,
-                            });
-                            horizon = t.min(t_max);
-                            (reach_sq, u_lo, u_hi, w_abs) = thresholds(horizon);
-                        }
+                    let better = t < horizon
+                        || (t <= horizon
+                            && best
+                                .as_ref()
+                                .is_some_and(|b| t == b.time && item.id < b.object.id));
+                    if t <= t_max && better {
+                        *best = Some(TpEvent {
+                            object: item,
+                            partner,
+                            time: t,
+                        });
+                        horizon = t.min(t_max);
+                        (reach_sq, u_lo, u_hi, w_abs) = thresholds(horizon);
                     }
                 }
-            }
-        }};
-    }
-    match coords {
-        Some((xs, ys)) => {
-            // The entry `reach_sq` is the loosest the gate will be for
-            // this leaf (the horizon only shrinks), so the masked scan
-            // may pre-filter with it; `consider!` re-checks the current
-            // gate (see `for_each_d2_within`).
-            crate::util::for_each_d2_within(xs, ys, q, reach_sq, |j, dp_sq| {
-                consider!(
-                    items[j],
-                    dp_sq,
-                    dir.x * (xs[j] - q.x) + dir.y * (ys[j] - q.y),
-                    perp.x * (xs[j] - q.x) + perp.y * (ys[j] - q.y)
-                )
-            });
-        }
-        None => {
-            for &item in items {
-                let v = q.to(item.point);
-                consider!(item, v.dot(v), dir.dot(v), perp.dot(v));
             }
         }
     }

@@ -8,36 +8,6 @@ use lbq_geom::Rect;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
-/// Leaf-coordinate mirror of a packed arena (built by
-/// [`RTree::repack`]): every leaf's item coordinates, bit-identical to
-/// the `Item`s, split into two flat arrays in arena (= DFS) order. The
-/// leaf scan kernels run their distance prepass over these branch-free
-/// column slices — which the compiler vectorizes and which waste no
-/// cache bandwidth on the interleaved `id`s — and touch the `Item`
-/// array only for the few survivors. Any structural mutation drops the
-/// mirror (see [`RTree::node_mut`]); queries fall back to the row
-/// layout and return the same bits.
-#[derive(Debug, Default)]
-pub(crate) struct LeafSoa {
-    pub(crate) xs: Vec<f64>,
-    pub(crate) ys: Vec<f64>,
-    /// Prefix offsets per node id (`len == nodes.len() + 1`); internal
-    /// nodes own an empty range.
-    pub(crate) start: Vec<u32>,
-    /// Child-MBR columns, the interior counterpart of `xs`/`ys`: every
-    /// internal node's child rectangles split into four flat arrays, so
-    /// the per-child `mindist` gate — up to `max_entries` evaluations
-    /// per node visit at paper fanout — runs as a vectorized prepass
-    /// too. Leaf nodes own an empty range.
-    pub(crate) cxmin: Vec<f64>,
-    pub(crate) cymin: Vec<f64>,
-    pub(crate) cxmax: Vec<f64>,
-    pub(crate) cymax: Vec<f64>,
-    /// Prefix offsets per node id into the child-MBR columns
-    /// (`len == nodes.len() + 1`).
-    pub(crate) cstart: Vec<u32>,
-}
-
 /// A disk-model R\*-tree over 2D points. See the crate docs for the
 /// feature inventory.
 ///
@@ -59,9 +29,6 @@ pub struct RTree {
     /// Mirror of `buffer.is_some()`, so the unbuffered hot path can
     /// skip the lock entirely (checked relaxed in [`RTree::access`]).
     pub(crate) buffered: std::sync::atomic::AtomicBool,
-    /// Column mirror of the leaf coordinates, present only on packed
-    /// arenas (see [`LeafSoa`]).
-    pub(crate) soa: Option<LeafSoa>,
 }
 
 // Compile-time proof of the sharing contract stated above: an
@@ -85,7 +52,6 @@ impl RTree {
             stats: StatsCell::default(),
             buffer: Mutex::new(None),
             buffered: std::sync::atomic::AtomicBool::new(false),
-            soa: None,
         }
     }
 
@@ -221,19 +187,13 @@ impl RTree {
         &self.nodes[idx(id)]
     }
 
-    /// Every structural mutation flows through here, [`RTree::alloc`],
-    /// or [`RTree::dealloc`] — so dropping the leaf-coordinate mirror
-    /// at these three choke points keeps a stale column view from ever
-    /// being scanned.
     #[inline]
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.soa = None;
         &mut self.nodes[idx(id)]
     }
 
     /// Allocates a node slot (reusing freed pages first).
     pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
-        self.soa = None;
         if let Some(id) = self.free.pop() {
             self.nodes[idx(id)] = node;
             id
@@ -246,42 +206,8 @@ impl RTree {
 
     /// Returns a node slot to the free list.
     pub(crate) fn dealloc(&mut self, id: NodeId) {
-        self.soa = None;
         self.nodes[idx(id)] = Node::new_leaf();
         self.free.push(id);
-    }
-
-    /// Column view of a leaf's item coordinates, when the mirror is
-    /// live (packed arena, unmutated since). The slices are exactly
-    /// `node.items.len()` long and bit-identical to the item points,
-    /// so scan kernels may use either representation interchangeably.
-    #[inline]
-    pub(crate) fn leaf_coords(&self, id: NodeId) -> Option<(&[f64], &[f64])> {
-        let soa = self.soa.as_ref()?;
-        // lbq-check: allow(lossy-cast) — u32 → usize is widening here
-        let lo = soa.start[idx(id)] as usize;
-        // lbq-check: allow(lossy-cast) — u32 → usize is widening here
-        let hi = soa.start[idx(id) + 1] as usize;
-        Some((&soa.xs[lo..hi], &soa.ys[lo..hi]))
-    }
-
-    /// Column view of an internal node's child MBRs, when the mirror is
-    /// live. Slices are exactly `node.children.len()` long, in child
-    /// order, bit-identical to `node.mbrs`.
-    #[inline]
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn child_mbr_cols(&self, id: NodeId) -> Option<(&[f64], &[f64], &[f64], &[f64])> {
-        let soa = self.soa.as_ref()?;
-        // lbq-check: allow(lossy-cast) — u32 → usize is widening here
-        let lo = soa.cstart[idx(id)] as usize;
-        // lbq-check: allow(lossy-cast) — u32 → usize is widening here
-        let hi = soa.cstart[idx(id) + 1] as usize;
-        Some((
-            &soa.cxmin[lo..hi],
-            &soa.cymin[lo..hi],
-            &soa.cxmax[lo..hi],
-            &soa.cymax[lo..hi],
-        ))
     }
 
     /// Iterates over all stored items (unmetered — a maintenance scan,
@@ -321,55 +247,6 @@ impl RTree {
                 "len mismatch: counted {item_count}, recorded {}",
                 self.len
             ));
-        }
-        // 5. when the leaf-coordinate mirror is live, it must agree with
-        //    the items bit-for-bit (the scan kernels treat the two
-        //    representations as interchangeable).
-        if let Some(soa) = &self.soa {
-            if soa.start.len() != self.nodes.len() + 1 || soa.cstart.len() != self.nodes.len() + 1 {
-                return Err(format!(
-                    "coordinate mirror offsets cover {}/{} nodes, arena has {}",
-                    soa.start.len().saturating_sub(1),
-                    soa.cstart.len().saturating_sub(1),
-                    self.nodes.len()
-                ));
-            }
-            for (i, node) in self.nodes.iter().enumerate() {
-                // lbq-check: allow(lossy-cast) — u32 → usize is widening here
-                let (lo, hi) = (soa.start[i] as usize, soa.start[i + 1] as usize);
-                if hi - lo != node.items.len() {
-                    return Err(format!(
-                        "leaf mirror slice for node {i} holds {} coords, node has {} items",
-                        hi - lo,
-                        node.items.len()
-                    ));
-                }
-                for (j, item) in node.items.iter().enumerate() {
-                    if soa.xs[lo + j].to_bits() != item.point.x.to_bits()
-                        || soa.ys[lo + j].to_bits() != item.point.y.to_bits()
-                    {
-                        return Err(format!("leaf mirror coords diverge at node {i} slot {j}"));
-                    }
-                }
-                // lbq-check: allow(lossy-cast) — u32 → usize is widening here
-                let (clo, chi) = (soa.cstart[i] as usize, soa.cstart[i + 1] as usize);
-                if chi - clo != node.mbrs.len() {
-                    return Err(format!(
-                        "child-MBR mirror slice for node {i} holds {} rects, node has {}",
-                        chi - clo,
-                        node.mbrs.len()
-                    ));
-                }
-                for (j, mbr) in node.mbrs.iter().enumerate() {
-                    if soa.cxmin[clo + j].to_bits() != mbr.xmin.to_bits()
-                        || soa.cymin[clo + j].to_bits() != mbr.ymin.to_bits()
-                        || soa.cxmax[clo + j].to_bits() != mbr.xmax.to_bits()
-                        || soa.cymax[clo + j].to_bits() != mbr.ymax.to_bits()
-                    {
-                        return Err(format!("child-MBR mirror diverges at node {i} slot {j}"));
-                    }
-                }
-            }
         }
         Ok(())
     }

@@ -23,122 +23,6 @@ pub(crate) fn node_id(i: usize) -> NodeId {
     i.try_into().expect("node arena exceeded u32::MAX slots")
 }
 
-/// Gated leaf-scan distance prepass over a column-mirrored leaf (see
-/// `LeafSoa`): calls `f(j, d2)` for every item index `j` with squared
-/// distance `d2 <= gate` from `q`, in item order.
-///
-/// The distances are computed a cache-width chunk at a time over the
-/// branch-free column slices — a loop the compiler auto-vectorizes.
-/// The arithmetic is `(xs[j] − q.x)² + (ys[j] − q.y)²`, which is
-/// bit-identical to `q.dist_sq(item.point)`: IEEE negation is exact, so
-/// `(a − b)² == (b − a)²` bit-for-bit, and the mul/add association
-/// matches `Point::dist_sq`.
-///
-/// The prepass folds the gate comparison into a 64-bit survivor mask
-/// (one chunk, one word), so the drain visits only the passing items
-/// via `trailing_zeros` instead of branching once per item — the win
-/// when most items fail the gate, which is the profile of both the kNN
-/// candidate gate and the TPNN reach gate (~1 in 9 items pass).
-///
-/// Callers must pass a gate that is *loosest at scan entry*: both users
-/// only ever tighten their bound mid-scan (a kNN candidate set's worst
-/// distance and a TPNN horizon shrink monotonically), and they re-check
-/// the current bound per item, so pre-filtering with the entry value
-/// drops only items every later bound also rejects — bit-identity with
-/// the unmasked scan follows.
-#[inline]
-pub(crate) fn for_each_d2_within(
-    xs: &[f64],
-    ys: &[f64],
-    q: lbq_geom::Point,
-    gate: f64,
-    mut f: impl FnMut(usize, f64),
-) {
-    const CHUNK: usize = 64;
-    let mut d2 = [0.0f64; CHUNK];
-    let n = xs.len();
-    let mut base = 0usize;
-    while base < n {
-        let m = CHUNK.min(n - base);
-        let mut mask = 0u64;
-        for j in 0..m {
-            let i = base + j;
-            let (vx, vy) = (xs[i] - q.x, ys[i] - q.y);
-            let d = vx * vx + vy * vy;
-            d2[j] = d;
-            mask |= u64::from(d <= gate) << j;
-        }
-        while mask != 0 {
-            // lbq-check: allow(lossy-cast) — trailing_zeros of a u64 is < 64
-            let j = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            f(base + j, d2[j]);
-        }
-        base += m;
-    }
-}
-
-/// Child-bound prepass over an internal node's column-mirrored child
-/// MBRs: calls `f(j, mindist²)` for every child index `j`, in child
-/// order. Same chunked shape as [`for_each_d2_within`] (ungated — child
-/// bounds feed a priority queue, not a survivor filter); the arithmetic is the
-/// `(lo − p).max(0).max(p − hi)` clamp chain of `Rect::mindist_sq`,
-/// op-for-op, so the values are bit-identical to the row layout.
-#[inline]
-pub(crate) fn for_each_mindist_sq(
-    cols: (&[f64], &[f64], &[f64], &[f64]),
-    q: lbq_geom::Point,
-    mut f: impl FnMut(usize, f64),
-) {
-    let (xmin, ymin, xmax, ymax) = cols;
-    const CHUNK: usize = 64;
-    let mut md = [0.0f64; CHUNK];
-    let n = xmin.len();
-    let mut base = 0usize;
-    while base < n {
-        let m = CHUNK.min(n - base);
-        for (j, d) in md[..m].iter_mut().enumerate() {
-            let i = base + j;
-            let dx = (xmin[i] - q.x).max(0.0).max(q.x - xmax[i]);
-            let dy = (ymin[i] - q.y).max(0.0).max(q.y - ymax[i]);
-            *d = dx * dx + dy * dy;
-        }
-        for (j, &d) in md[..m].iter().enumerate() {
-            f(base + j, d);
-        }
-        base += m;
-    }
-}
-
-/// Rect-to-rect variant of [`for_each_mindist_sq`]: `f(j, mindist²)`
-/// between each column-mirrored child MBR and the query rectangle `g`,
-/// matching `Rect::mindist_sq_rect` bit-for-bit.
-#[inline]
-pub(crate) fn for_each_mindist_sq_rect(
-    cols: (&[f64], &[f64], &[f64], &[f64]),
-    g: &lbq_geom::Rect,
-    mut f: impl FnMut(usize, f64),
-) {
-    let (xmin, ymin, xmax, ymax) = cols;
-    const CHUNK: usize = 64;
-    let mut md = [0.0f64; CHUNK];
-    let n = xmin.len();
-    let mut base = 0usize;
-    while base < n {
-        let m = CHUNK.min(n - base);
-        for (j, d) in md[..m].iter_mut().enumerate() {
-            let i = base + j;
-            let dx = (xmin[i] - g.xmax).max(0.0).max(g.xmin - xmax[i]);
-            let dy = (ymin[i] - g.ymax).max(0.0).max(g.ymin - ymax[i]);
-            *d = dx * dx + dy * dy;
-        }
-        for (j, &d) in md[..m].iter().enumerate() {
-            f(base + j, d);
-        }
-        base += m;
-    }
-}
-
 /// A totally ordered `f64` wrapper for priority queues.
 ///
 /// All values produced by the tree (distances, influence times) are
