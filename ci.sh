@@ -1,5 +1,5 @@
 #!/bin/sh
-# Workspace gate: formatting, release build, project lints, tests.
+# Workspace gate: formatting, release build, clippy, project lints, tests.
 # Run from the repository root. Any failing step aborts the run.
 #
 #   ./ci.sh             the full gate
@@ -30,19 +30,13 @@ cargo fmt --all --check
 echo "== cargo build --release"
 cargo build --workspace --release
 
-echo "== lbq-check (json, diffed against committed baseline)"
-# Exit codes: 0 clean, 1 fresh findings beyond the baseline, 2 the
-# analyzer itself failed (parse/IO/CLI error) — distinguish them so a
-# broken analyzer is never mistaken for a lint regression.
-rc=0
-cargo run --release -q -p lbq-check -- --format json --baseline lbq-check.baseline.json || rc=$?
-if [ "$rc" -eq 2 ]; then
-    echo "ci: lbq-check itself failed (parse/IO error) — fix the analyzer or the source it chokes on" >&2
-    exit 2
-elif [ "$rc" -ne 0 ]; then
-    echo "ci: lbq-check found violations beyond lbq-check.baseline.json (listed above)" >&2
-    exit 1
-fi
+echo "== cargo clippy (warnings are errors)"
+# Runs before the tests so a lint error fails fast. Tests are linted
+# too; clippy.toml lets them unwrap, expect and panic.
+cargo clippy --workspace --all-targets -q -- -D warnings
+
+echo "== lbq-check"
+cargo run --release -q -p lbq-check
 
 echo "== miri (optional: runs when the component is installed)"
 if rustup component list --installed 2>/dev/null | grep -q "^miri"; then

@@ -144,12 +144,12 @@ impl Table {
 /// Compact numeric formatting: scientific for very small/large values,
 /// plain otherwise.
 pub fn format_num(v: f64) -> String {
-    // lbq-check: allow(float-eq) — formatting dispatch, exact zero only
+    // Formatting dispatch, exact zero only
     if v == 0.0 {
         "0".into()
     } else if v.abs() < 1e-3 || v.abs() >= 1e7 {
         format!("{v:.3e}")
-    // lbq-check: allow(float-eq) — fract() is exact for integers
+    // fract() is exact for integers
     } else if v.fract() == 0.0 && v.abs() < 1e7 {
         format!("{v:.0}")
     } else {
@@ -246,6 +246,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn mean_basic() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);

@@ -68,7 +68,7 @@ fn hot_alloc(ix: &ItemIndex, cg: &CallGraph, files: &[&TokenFile], out: &mut Vec
                 && prev(2) == Some(":")
                 && prev(3).is_some_and(|q| ALLOC_TYPES.contains(&q))
             {
-                // lbq-check: allow(no-unwrap-core) — prev(3) was just matched Some
+                // prev(3) was just matched Some.
                 Some(format!("{}::{}", prev(3).expect("matched above"), name))
             } else if ALLOC_METHODS.contains(&name)
                 && prev(1) == Some(".")
@@ -207,7 +207,7 @@ fn atomic_ordering(ix: &ItemIndex, files: &[&TokenFile], out: &mut Vec<Diagnosti
             let Some(close) = open.and_then(|ti| tf.match_of(ti)) else {
                 return;
             };
-            // lbq-check: allow(no-unwrap-core) — open was tested Some above
+            // open was tested Some above.
             let open = open.expect("checked above");
             let mut orderings = Vec::new();
             let mut i = open + 1;

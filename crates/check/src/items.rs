@@ -359,8 +359,8 @@ fn apply_annotation(comment: &str, ann: &mut Annotations) {
     let rest = comment[pos + "lbq-check:".len()..].trim_start();
     // Markers are word-delimited; `no-panic` must win over `no`.
     for (marker, flag) in [("no-panic", 2usize), ("hot", 0), ("cold", 1)] {
-        if rest.starts_with(marker) {
-            let after = rest[marker.len()..].chars().next();
+        if let Some(tail) = rest.strip_prefix(marker) {
+            let after = tail.chars().next();
             let boundary = after.is_none_or(|ch| !ch.is_ascii_alphanumeric() && ch != '-');
             if boundary {
                 match flag {
@@ -496,10 +496,10 @@ fn parse_static(tf: &TokenFile, c: usize) -> Option<(String, String, u32)> {
     if name_tok.kind != crate::lexer::TokenKind::Ident {
         return None;
     }
-    if !tf
+    if tf
         .code
         .get(p + 1)
-        .is_some_and(|&ti| tf.tokens[ti].text == ":")
+        .is_none_or(|&ti| tf.tokens[ti].text != ":")
     {
         return None; // `static` as a lifetime bound position, not an item
     }
@@ -687,7 +687,7 @@ mod tests {
              fn b() {}\n\
              // lbq-check: no-panic\n\
              fn c() {}\n\
-             // lbq-check: allow(float-eq) — not an annotation\n\
+             // lbq-check: allow(local-epsilon) — not an annotation\n\
              fn d() {}",
         );
         assert!(ix.fns[0].ann.hot);

@@ -2,8 +2,8 @@
 //!
 //! Just enough lexical structure for the lint rules in [`crate::rules`]:
 //! identifiers, numeric/string/char literals, comments (kept as tokens —
-//! the allowlist and `pub-doc` need them) and punctuation, each tagged
-//! with its 1-based source line. It is *not* a full Rust lexer: shebangs,
+//! the allowlist and the `hot`/`cold` annotations need them) and
+//! punctuation, each tagged with its 1-based source line. It is *not* a full Rust lexer: shebangs,
 //! unicode identifiers and a few exotic literal forms are out of scope
 //! for this workspace.
 
@@ -18,16 +18,10 @@ pub enum TokenKind {
     Str,
     /// Character or byte literal (`'x'`, `b'\n'`).
     CharLit,
-    /// `//` comment; `doc` marks `///` and `//!`.
-    LineComment {
-        /// True for `///` and `//!` forms.
-        doc: bool,
-    },
-    /// `/* */` comment; `doc` marks `/**` and `/*!`.
-    BlockComment {
-        /// True for `/**` and `/*!` forms.
-        doc: bool,
-    },
+    /// `//` comment, doc comments included.
+    LineComment,
+    /// `/* */` comment, doc comments included.
+    BlockComment,
     /// Punctuation. `==` and `!=` are fused into one token; everything
     /// else is a single character.
     Punct,
@@ -55,18 +49,7 @@ impl Token {
 
     /// True for comment tokens of either flavor.
     pub fn is_comment(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::LineComment { .. } | TokenKind::BlockComment { .. }
-        )
-    }
-
-    /// True for doc comments (`///`, `//!`, `/**`, `/*!`).
-    pub fn is_doc_comment(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::LineComment { doc: true } | TokenKind::BlockComment { doc: true }
-        )
+        matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
     }
 }
 
@@ -156,9 +139,8 @@ impl Lexer<'_> {
             self.i += 1;
         }
         let text = &self.src[start..self.i];
-        let doc = (text.starts_with("///") && !text.starts_with("////")) || text.starts_with("//!");
         self.out
-            .push(Token::new(TokenKind::LineComment { doc }, text, self.line));
+            .push(Token::new(TokenKind::LineComment, text, self.line));
     }
 
     fn block_comment(&mut self) {
@@ -183,13 +165,8 @@ impl Lexer<'_> {
             }
         }
         let text = &self.src[start..self.i];
-        let doc = text.starts_with("/*!")
-            || (text.starts_with("/**") && !text.starts_with("/***") && text.len() > 4);
-        self.out.push(Token::new(
-            TokenKind::BlockComment { doc },
-            text,
-            start_line,
-        ));
+        self.out
+            .push(Token::new(TokenKind::BlockComment, text, start_line));
     }
 
     /// Plain (escaped) string literal starting at the `"` at `self.i`.
@@ -286,7 +263,7 @@ impl Lexer<'_> {
                 self.i += 1;
                 let tok_start = start;
                 self.string(tok_start);
-                return true;
+                true
             }
             b'\'' => {
                 self.i += 1;
@@ -294,7 +271,7 @@ impl Lexer<'_> {
                 if let Some(t) = self.out.last_mut() {
                     t.text = self.src[start..start + 1 + t.text.len()].to_string();
                 }
-                return true;
+                true
             }
             b'r' => {
                 let mut j = self.i + 2;
@@ -305,7 +282,7 @@ impl Lexer<'_> {
                     self.raw_string(start, self.i + 2);
                     return true;
                 }
-                return false;
+                false
             }
             _ => false,
         }
@@ -486,11 +463,12 @@ mod tests {
     fn comments_and_docs() {
         let src = "/// doc\n// note\n//! inner\n/* block */ /** docblock */ fn f() {}";
         let t = lex(src);
-        assert_eq!(t[0].kind, TokenKind::LineComment { doc: true });
-        assert_eq!(t[1].kind, TokenKind::LineComment { doc: false });
-        assert_eq!(t[2].kind, TokenKind::LineComment { doc: true });
-        assert_eq!(t[3].kind, TokenKind::BlockComment { doc: false });
-        assert_eq!(t[4].kind, TokenKind::BlockComment { doc: true });
+        assert_eq!(t[0].kind, TokenKind::LineComment);
+        assert_eq!(t[1].kind, TokenKind::LineComment);
+        assert_eq!(t[2].kind, TokenKind::LineComment);
+        assert_eq!(t[3].kind, TokenKind::BlockComment);
+        assert_eq!(t[4].kind, TokenKind::BlockComment);
+        assert_eq!(t[4].text, "/** docblock */");
         assert_eq!(t[3].line, 4);
     }
 

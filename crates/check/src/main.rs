@@ -1,156 +1,61 @@
 //! `lbq-check` binary: analyze the workspace (or a directory passed as
 //! the first argument) and exit by outcome:
 //!
-//! * `0` — clean (no findings beyond the baseline),
-//! * `1` — findings,
+//! * `0` — clean,
+//! * `1` — findings, one `file:line: [rule] message` line each,
 //! * `2` — analyzer breakage (bad CLI, IO error, unparseable file).
 //!
-//! Flags: `--format text|json`, `--baseline <path>` (subtract a
-//! committed findings document), `--quiet` (suppress per-finding
-//! output; the exit code still tells the story). See the crate docs in
-//! `lib.rs` for the rule set.
+//! See the crate docs in `lib.rs` for the rule set.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: lbq-check [ROOT] [--format text|json] [--baseline FILE] [--quiet]";
+const USAGE: &str = "usage: lbq-check [ROOT]";
 
-#[derive(Debug, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-}
-
-struct Cli {
-    root: PathBuf,
-    format: Format,
-    baseline: Option<PathBuf>,
-    quiet: bool,
-}
-
-fn parse_cli() -> Result<Cli, String> {
+fn parse_cli() -> Result<PathBuf, String> {
     let mut root = None;
-    let mut format = Format::Text;
-    let mut baseline = None;
-    let mut quiet = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--format" => {
-                format = match args.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    other => {
-                        return Err(format!(
-                            "--format takes `text` or `json`, got {other:?}\n{USAGE}"
-                        ))
-                    }
-                };
-            }
-            "--baseline" => {
-                let Some(p) = args.next() else {
-                    return Err(format!("--baseline takes a file path\n{USAGE}"));
-                };
-                baseline = Some(PathBuf::from(p));
-            }
-            "--quiet" | "-q" => quiet = true,
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag `{flag}`\n{USAGE}"));
-            }
-            path => {
-                if root.replace(PathBuf::from(path)).is_some() {
-                    return Err(format!("more than one ROOT argument\n{USAGE}"));
-                }
-            }
+    for a in std::env::args().skip(1) {
+        if a.starts_with('-') {
+            return Err(format!("unknown flag `{a}`\n{USAGE}"));
+        }
+        if root.replace(PathBuf::from(a)).is_some() {
+            return Err(format!("more than one ROOT argument\n{USAGE}"));
         }
     }
     // Default to the workspace root (the parent of this crate's
     // manifest dir) so `cargo run -p lbq-check` works from anywhere.
-    let root = root.unwrap_or_else(|| {
+    Ok(root.unwrap_or_else(|| {
         PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .and_then(|p| p.parent())
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("."))
-    });
-    Ok(Cli {
-        root,
-        format,
-        baseline,
-        quiet,
-    })
+    }))
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_cli() {
-        Ok(c) => c,
+    let root = match parse_cli() {
+        Ok(r) => r,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::from(2);
         }
     };
-
-    let diags = match lbq_check::check_workspace(&cli.root) {
+    let diags = match lbq_check::check_workspace(&root) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("lbq-check: {e}");
             return ExitCode::from(2);
         }
     };
-
-    // Baseline subtraction happens before any output: the committed
-    // baseline is part of the contract, not a display option.
-    let (fresh, stale) = match &cli.baseline {
-        None => (diags, 0),
-        Some(path) => {
-            let doc = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("lbq-check: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let base = match lbq_check::json::parse_findings(&doc) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("lbq-check: bad baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            lbq_check::json::diff_against_baseline(&diags, &base)
-        }
-    };
-    if stale > 0 {
-        eprintln!(
-            "lbq-check: warning: {stale} stale baseline entr{} (finding fixed but \
-             still baselined) — regenerate with --format json",
-            if stale == 1 { "y" } else { "ies" }
-        );
+    for d in &diags {
+        println!("{d}");
     }
-
-    match cli.format {
-        Format::Json => {
-            if !cli.quiet {
-                print!("{}", lbq_check::json::render(&fresh));
-            }
-        }
-        Format::Text => {
-            if !cli.quiet {
-                for d in &fresh {
-                    println!("{d}");
-                }
-                if fresh.is_empty() {
-                    println!("lbq-check: ok ({})", cli.root.display());
-                } else {
-                    println!("lbq-check: {} violation(s)", fresh.len());
-                }
-            }
-        }
-    }
-    if fresh.is_empty() {
+    if diags.is_empty() {
+        println!("lbq-check: ok ({})", root.display());
         ExitCode::SUCCESS
     } else {
+        println!("lbq-check: {} violation(s)", diags.len());
         ExitCode::from(1)
     }
 }

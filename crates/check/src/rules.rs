@@ -5,34 +5,29 @@
 //!
 //! | rule | meaning |
 //! |------|---------|
-//! | `float-eq` | no `==`/`!=` against floating-point operands outside the approved epsilon module |
 //! | `local-epsilon` | no literal epsilons (1e-12 ..= 1e-6) outside the approved epsilon module |
-//! | `no-unwrap-core` | no `.unwrap()` / `.expect()` / `panic!` in library code of the core crates |
-//! | `lossy-cast` | no narrowing `as` casts in `crates/rtree` — use `try_into` or justify |
-//! | `pub-doc` | every `pub fn` / `pub struct` in the doc-mandatory crates carries a doc comment |
 //! | `obs-span-name` | `lbq_obs` span/event/metric/heatmap/snapshot-field names are kebab-case string literals |
-//! | `allow-reason` | every allow directive carries a reason explaining the escape |
+//!
+//! What rustc and clippy check with types — exact float comparison,
+//! panics in library code, narrowing casts, public docs, reasonless
+//! lint escapes — is theirs (see the workspace `Cargo.toml`).
 //!
 //! Any finding can be silenced with a justification comment on the same
 //! line or the line directly above. The reason is mandatory — either as
-//! a quoted argument or as trailing text after the closing paren:
+//! a quoted argument or as trailing text after the closing paren — and
+//! a directive without one silences nothing:
 //!
 //! ```text
 //! // lbq-check: allow(local-epsilon, "Box–Muller guard, not a tolerance")
 //! // lbq-check: allow(local-epsilon) — Box–Muller guard, not a tolerance
 //! ```
 
-use crate::lexer::{float_value, is_float_literal, lex, Token, TokenKind};
+use crate::lexer::{float_value, lex, Token, TokenKind};
 
 /// All rule names, as used in diagnostics and allow comments.
-pub const RULE_NAMES: [&str; 11] = [
-    "float-eq",
+pub const RULE_NAMES: [&str; 6] = [
     "local-epsilon",
-    "no-unwrap-core",
-    "lossy-cast",
-    "pub-doc",
     "obs-span-name",
-    "allow-reason",
     "hot-alloc",
     "hot-panic",
     "atomic-ordering",
@@ -41,16 +36,6 @@ pub const RULE_NAMES: [&str; 11] = [
 
 /// The one module allowed to define epsilons and compare floats exactly.
 pub const APPROVED_EPS_MODULE: &str = "crates/geom/src/lib.rs";
-
-/// Crates whose library code must be panic-free (`no-unwrap-core`).
-pub const PANIC_FREE_CRATES: [&str; 9] = [
-    "geom", "rtree", "voronoi", "hist", "core", "obs", "serve", "proto", "net",
-];
-
-/// Crates whose public items must be documented (`pub-doc`).
-pub const DOC_CRATES: [&str; 11] = [
-    "geom", "core", "obs", "voronoi", "hist", "rng", "data", "rtree", "serve", "proto", "net",
-];
 
 /// One finding: rule, location, human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +66,7 @@ impl std::fmt::Display for Diagnostic {
 pub fn check_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let tokens = lex(src);
     let allows = Allows::collect(&tokens);
-    let mut out = per_file(path, &tokens, &allows);
+    let mut out = per_file(path, &tokens);
     out.retain(|d| !allows.is_allowed(d.rule, d.line));
     out.sort_by_key(|d| (d.line, d.rule));
     out
@@ -91,7 +76,7 @@ pub fn check_source(path: &str, src: &str) -> Vec<Diagnostic> {
 /// already-lexed token stream. Returns **unfiltered** findings — the
 /// caller applies [`Allows::is_allowed`]; the workspace driver does
 /// this centrally so interprocedural findings share the same filter.
-pub fn per_file(path: &str, tokens: &[Token], allows: &Allows) -> Vec<Diagnostic> {
+pub fn per_file(path: &str, tokens: &[Token]) -> Vec<Diagnostic> {
     let test_from = test_region_start(tokens);
     let ctx = FileCtx {
         path,
@@ -101,14 +86,9 @@ pub fn per_file(path: &str, tokens: &[Token], allows: &Allows) -> Vec<Diagnostic
 
     let mut out = Vec::new();
     if path != APPROVED_EPS_MODULE {
-        float_eq(&ctx, &mut out);
         local_epsilon(&ctx, &mut out);
     }
-    no_unwrap_core(&ctx, &mut out);
-    lossy_cast(&ctx, &mut out);
-    pub_doc(&ctx, &mut out);
     obs_span_name(&ctx, &mut out);
-    allow_reason(&ctx, allows, &mut out);
     out
 }
 
@@ -143,19 +123,16 @@ impl FileCtx<'_> {
 
 // -------------------------------------------------------- allowlist
 
-/// One `// lbq-check: allow(…)` directive.
+/// One `// lbq-check: allow(…)` directive that carries a reason.
 #[derive(Debug, Clone)]
 pub struct AllowDirective {
     /// Line the directive comment sits on.
     pub line: u32,
     /// Rule names listed inside the parens.
     pub rules: Vec<String>,
-    /// Whether the directive carries a reason — a quoted argument
-    /// inside the parens or prose after the closing paren.
-    pub has_reason: bool,
 }
 
-/// All allow directives of one file.
+/// All reason-carrying allow directives of one file.
 #[derive(Debug, Clone, Default)]
 pub struct Allows {
     directives: Vec<AllowDirective>,
@@ -163,6 +140,10 @@ pub struct Allows {
 
 impl Allows {
     /// Extracts `// lbq-check: allow(rule, rule, "reason")` directives.
+    /// A directive without a reason — neither a quoted argument inside
+    /// the parens nor prose after the closing paren — is dropped: the
+    /// escape hatch is only auditable if each use records *why* the rule
+    /// does not apply at that site.
     pub fn collect(tokens: &[Token]) -> Allows {
         let mut directives = Vec::new();
         for t in tokens {
@@ -181,28 +162,21 @@ impl Allows {
                 continue;
             };
             let mut rules = Vec::new();
-            let mut has_reason = false;
+            // Trailing prose after the `)` counts as a reason:
+            // `// lbq-check: allow(rule) — why this is sound`.
+            let mut has_reason = inner[close + 1..].chars().any(|c| c.is_alphanumeric());
             for item in inner[..close].split(',') {
                 let item = item.trim();
-                if item.is_empty() {
-                    continue;
-                }
                 if item.starts_with('"') {
                     has_reason = true;
-                } else {
+                } else if !item.is_empty() {
                     rules.push(item.to_string());
                 }
             }
-            // Trailing prose after the `)` also counts as a reason:
-            // `// lbq-check: allow(rule) — why this is sound`.
-            if inner[close + 1..].chars().any(|c| c.is_alphanumeric()) {
-                has_reason = true;
-            }
-            if !rules.is_empty() {
+            if has_reason && !rules.is_empty() {
                 directives.push(AllowDirective {
                     line: t.line,
                     rules,
-                    has_reason,
                 });
             }
         }
@@ -216,30 +190,6 @@ impl Allows {
             (d.line == line || d.line == line.saturating_sub(1))
                 && d.rules.iter().any(|r| r == rule)
         })
-    }
-
-    /// Directives with no reason (the `allow-reason` rule's input).
-    pub fn reasonless(&self) -> impl Iterator<Item = &AllowDirective> {
-        self.directives.iter().filter(|d| !d.has_reason)
-    }
-}
-
-/// `allow-reason`: every allow directive must explain itself — the
-/// escape hatch is only auditable if each use records *why* the rule
-/// does not apply at that site.
-fn allow_reason(ctx: &FileCtx, allows: &Allows, out: &mut Vec<Diagnostic>) {
-    for d in allows.reasonless() {
-        out.push(Diagnostic {
-            rule: "allow-reason",
-            file: ctx.path.to_string(),
-            line: d.line,
-            message: format!(
-                "allow({}) has no reason; write `// lbq-check: allow({}, \"why\")` \
-                 or append an explanation after the closing paren",
-                d.rules.join(", "),
-                d.rules.join(", "),
-            ),
-        });
     }
 }
 
@@ -257,49 +207,6 @@ fn test_region_start(tokens: &[Token]) -> Option<u32> {
 }
 
 // -------------------------------------------------------- rules
-
-/// `float-eq`: `==`/`!=` with a float literal or `f32`/`f64` path on
-/// either side. (Type-aware cases are covered by `clippy::float_cmp`,
-/// which the workspace denies; this catches the literal-adjacent subset
-/// without needing type inference.)
-fn float_eq(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let code: Vec<&Token> = ctx.tokens.iter().filter(|t| !t.is_comment()).collect();
-    for (i, tok) in code.iter().enumerate() {
-        if tok.kind != TokenKind::Punct || (tok.text != "==" && tok.text != "!=") {
-            continue;
-        }
-        let prev = i.checked_sub(1).map(|p| code[p]);
-        let next = code.get(i + 1).copied();
-        // Unary minus on the right-hand side: `== -1.0`.
-        let next_val = match next {
-            Some(t) if t.text == "-" => code.get(i + 2).copied(),
-            other => other,
-        };
-        let float_lit = |t: Option<&Token>| {
-            t.is_some_and(|t| t.kind == TokenKind::Number && is_float_literal(&t.text))
-        };
-        let float_path = |t: Option<&Token>| {
-            t.is_some_and(|t| t.kind == TokenKind::Ident && (t.text == "f64" || t.text == "f32"))
-        };
-        // `f64::INFINITY == x`: look a few tokens back across `f64::CONST`.
-        let prev_path = i >= 4
-            && float_path(Some(code[i - 4]))
-            && code[i - 3].text == ":"
-            && code[i - 2].text == ":";
-        if float_lit(prev) || float_lit(next_val) || float_path(next) || prev_path {
-            out.push(Diagnostic {
-                rule: "float-eq",
-                file: ctx.path.to_string(),
-                line: tok.line,
-                message: format!(
-                    "floating-point `{}` comparison; use lbq_geom::approx_eq or an \
-                     explicit EPS tolerance",
-                    tok.text
-                ),
-            });
-        }
-    }
-}
 
 /// `local-epsilon`: literal float in `[1e-12, 1e-6]` in library code.
 fn local_epsilon(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
@@ -324,126 +231,6 @@ fn local_epsilon(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                      (EPS family) or justify with an allow comment",
                     tok.text
                 ),
-            });
-        }
-    }
-}
-
-/// `no-unwrap-core`: `.unwrap()`, `.expect(`, `panic!` in library code
-/// of the panic-free crates.
-fn no_unwrap_core(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    match ctx.lib_crate() {
-        Some(k) if PANIC_FREE_CRATES.contains(&k) => {}
-        _ => return,
-    }
-    let code: Vec<&Token> = ctx.tokens.iter().filter(|t| !t.is_comment()).collect();
-    for (i, tok) in code.iter().enumerate() {
-        if tok.kind != TokenKind::Ident || ctx.is_test_code(tok.line) {
-            continue;
-        }
-        let prev_dot = i > 0 && code[i - 1].text == ".";
-        let next = code.get(i + 1).map(|t| t.text.as_str());
-        let hit = match tok.text.as_str() {
-            "unwrap" | "expect" => prev_dot && next == Some("("),
-            "panic" => next == Some("!"),
-            _ => false,
-        };
-        if hit {
-            out.push(Diagnostic {
-                rule: "no-unwrap-core",
-                file: ctx.path.to_string(),
-                line: tok.line,
-                message: format!(
-                    "`{}` in library code; return an error/Option or justify the \
-                     invariant with an allow comment",
-                    tok.text
-                ),
-            });
-        }
-    }
-}
-
-/// `lossy-cast`: narrowing `as` casts inside `crates/rtree` — the crate
-/// that juggles `u32` node ids against `usize` arena indices.
-fn lossy_cast(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if ctx.lib_crate() != Some("rtree") {
-        return;
-    }
-    const NARROW: [&str; 7] = ["u8", "u16", "u32", "i8", "i16", "i32", "NodeId"];
-    let code: Vec<&Token> = ctx.tokens.iter().filter(|t| !t.is_comment()).collect();
-    for (i, tok) in code.iter().enumerate() {
-        if tok.text != "as" || tok.kind != TokenKind::Ident || ctx.is_test_code(tok.line) {
-            continue;
-        }
-        // `usize` is narrowing only in the abstract (from u64); flag it
-        // too — the point is to route every id<->index hop through the
-        // checked helpers.
-        let Some(target) = code.get(i + 1) else {
-            continue;
-        };
-        if NARROW.contains(&target.text.as_str()) || target.text == "usize" {
-            out.push(Diagnostic {
-                rule: "lossy-cast",
-                file: ctx.path.to_string(),
-                line: tok.line,
-                message: format!(
-                    "narrowing `as {}` cast; use try_into / the checked id helpers \
-                     or justify with an allow comment",
-                    target.text
-                ),
-            });
-        }
-    }
-}
-
-/// `pub-doc`: undocumented `pub fn` / `pub struct` in the doc-mandatory
-/// crates.
-fn pub_doc(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    match ctx.lib_crate() {
-        Some(k) if DOC_CRATES.contains(&k) => {}
-        _ => return,
-    }
-    let toks = ctx.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.kind != TokenKind::Ident || tok.text != "pub" || ctx.is_test_code(tok.line) {
-            continue;
-        }
-        // Restricted visibility (pub(crate), pub(super)) is not public API.
-        let code_after: Vec<(usize, &Token)> = toks
-            .iter()
-            .enumerate()
-            .skip(i + 1)
-            .filter(|(_, t)| !t.is_comment())
-            .take(4)
-            .collect();
-        if code_after.first().is_some_and(|(_, t)| t.text == "(") {
-            continue;
-        }
-        // Walk over qualifiers to the item keyword.
-        let mut item = None;
-        for (_, t) in &code_after {
-            match t.text.as_str() {
-                "const" | "unsafe" | "async" | "extern" => continue,
-                "fn" | "struct" => {
-                    item = Some(t.text.clone());
-                    break;
-                }
-                _ => break,
-            }
-        }
-        let Some(item) = item else { continue };
-        let name = code_after
-            .iter()
-            .skip_while(|(_, t)| t.text != item)
-            .nth(1)
-            .map(|(_, t)| t.text.clone())
-            .unwrap_or_default();
-        if !has_doc_before(toks, i) {
-            out.push(Diagnostic {
-                rule: "pub-doc",
-                file: ctx.path.to_string(),
-                line: tok.line,
-                message: format!("public {item} `{name}` has no doc comment"),
             });
         }
     }
@@ -484,7 +271,7 @@ fn obs_span_name(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         if f.kind != TokenKind::Ident || !NAMED_FNS.contains(&f.text.as_str()) {
             continue;
         }
-        if !code.get(i + 4).is_some_and(|t| t.text == "(") {
+        if code.get(i + 4).is_none_or(|t| t.text != "(") {
             continue;
         }
         let arg = code.get(i + 5);
@@ -525,40 +312,4 @@ fn is_kebab_str_literal(text: &str) -> bool {
         && inner
             .chars()
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-}
-
-/// Walks backwards from the token before `pub_idx`, skipping attributes
-/// (`#[…]`) and plain comments, and reports whether a doc comment is
-/// attached.
-fn has_doc_before(toks: &[Token], pub_idx: usize) -> bool {
-    let mut j = pub_idx;
-    while j > 0 {
-        j -= 1;
-        let t = &toks[j];
-        if t.is_doc_comment() {
-            return true;
-        }
-        if t.is_comment() {
-            continue;
-        }
-        if t.text == "]" {
-            // Skip backwards over the attribute's bracket group.
-            let mut depth = 1usize;
-            while j > 0 && depth > 0 {
-                j -= 1;
-                match toks[j].text.as_str() {
-                    "]" => depth += 1,
-                    "[" => depth -= 1,
-                    _ => {}
-                }
-            }
-            // Consume the leading `#` (and `!` of inner attributes).
-            while j > 0 && (toks[j - 1].text == "#" || toks[j - 1].text == "!") {
-                j -= 1;
-            }
-            continue;
-        }
-        return false;
-    }
-    false
 }

@@ -100,7 +100,7 @@ fn nn_validity_area_1(n: f64) -> f64 {
     let r_max = (30.0 / (n * PI)).sqrt();
     let xi_max = 5.0 / n.sqrt();
     let survival = |xi: f64| -> f64 {
-        // lbq-check: allow(float-eq) — exact sentinel for the zero-travel case
+        // Exact sentinel for the zero-travel case
         if xi == 0.0 {
             return 1.0;
         }
@@ -238,6 +238,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn circle_overlap_limits() {
         // Disjoint.
         assert_eq!(circle_overlap_area(1.0, 1.0, 3.0), 0.0);

@@ -39,7 +39,7 @@ impl Sr01Cache {
             return false;
         }
         let dist_k = self.items[self.k - 1].1;
-        // lbq-check: allow(no-unwrap-core) — len ≥ 2 checked above
+        #[expect(clippy::expect_used, reason = "len ≥ 2 checked above")]
         let dist_m = self.items.last().expect("non-empty").1;
         2.0 * self.origin.dist(p) <= dist_m - dist_k
     }

@@ -43,7 +43,7 @@ pub fn random_waypoint(
         while cur.dist(waypoint) < step_len {
             waypoint = random_point(&mut rng, &universe);
         }
-        // lbq-check: allow(no-unwrap-core) — the loop above guarantees distance
+        #[expect(clippy::expect_used, reason = "the loop above guarantees distance")]
         let dir = cur.to(waypoint).normalized().expect("waypoint ≠ cur");
         cur = universe.clamp_point(cur + dir * step_len);
         out.push(cur);
@@ -68,7 +68,10 @@ pub enum NnStrategy {
     /// influence set.
     LbqDelta,
     /// `[SR01]` with the given `m`.
-    Sr01 { m: usize },
+    Sr01 {
+        /// Neighbors shipped per query (`m ≥ k`).
+        m: usize,
+    },
     /// `[ZL01]` Voronoi safe distance (requires `k == 1`).
     Zl01,
     /// `[TP02]` expiry times; a direction change invalidates the cache.
@@ -219,6 +222,7 @@ pub fn simulate_nn(
                 }
                 lbq_result.iter().map(|i| i.id).collect()
             }
+            #[expect(clippy::expect_used, reason = "filled on miss above")]
             NnStrategy::Sr01 { m } => {
                 let hit = match &sr_cache {
                     Some(c) => {
@@ -237,16 +241,18 @@ pub fn simulate_nn(
                 }
                 sr_cache
                     .as_ref()
-                    // lbq-check: allow(no-unwrap-core) — filled on miss above
                     .expect("just filled")
                     .knn_at(pos)
                     .into_iter()
                     .map(|i| i.id)
                     .collect()
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "strategy precondition; harness datasets are non-empty; filled on miss above"
+            )]
             NnStrategy::Zl01 => {
                 assert_eq!(k, 1, "[ZL01] supports single NN only");
-                // lbq-check: allow(no-unwrap-core) — strategy precondition
                 let server = zl01.expect("ZL01 strategy needs the Voronoi server");
                 let hit = match &zl_cache {
                     Some((resp, origin)) => {
@@ -259,14 +265,13 @@ pub fn simulate_nn(
                 if !hit {
                     report.objects_shipped += 1;
                     let resp = metered_query(tree, &mut report, &latency, || {
-                        // lbq-check: allow(no-unwrap-core) — harness datasets are non-empty
                         server.query(pos).expect("non-empty dataset")
                     });
                     zl_cache = Some((resp, pos));
                 }
-                // lbq-check: allow(no-unwrap-core) — filled on miss above
                 vec![zl_cache.as_ref().expect("just filled").0.nn.id]
             }
+            #[expect(clippy::expect_used, reason = "filled on miss above")]
             NnStrategy::Tp => {
                 // Direction of travel this step (undefined at the last
                 // position; reuse the previous one).
@@ -295,7 +300,6 @@ pub fn simulate_nn(
                 }
                 tp_cache
                     .as_ref()
-                    // lbq-check: allow(no-unwrap-core) — filled on miss above
                     .expect("just filled")
                     .0
                     .iter()
@@ -377,6 +381,7 @@ pub fn simulate_window(
                 report.objects_shipped += res.len();
                 res.into_iter().map(|i| i.id).collect()
             }
+            #[expect(clippy::expect_used, reason = "filled on miss above")]
             WindowStrategy::Lbq | WindowStrategy::LbqConservative => {
                 let hit = match &lbq_cache {
                     Some((v, _)) => {
@@ -399,13 +404,13 @@ pub fn simulate_window(
                 }
                 lbq_cache
                     .as_ref()
-                    // lbq-check: allow(no-unwrap-core) — filled on miss above
                     .expect("just filled")
                     .1
                     .iter()
                     .map(|i| i.id)
                     .collect()
             }
+            #[expect(clippy::expect_used, reason = "filled on miss above")]
             WindowStrategy::TpWindow => {
                 let dir = trajectory
                     .get(step + 1)
@@ -433,7 +438,6 @@ pub fn simulate_window(
                 }
                 tp_cache
                     .as_ref()
-                    // lbq-check: allow(no-unwrap-core) — filled on miss above
                     .expect("just filled")
                     .0
                     .iter()

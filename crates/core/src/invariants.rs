@@ -157,10 +157,13 @@ impl WindowValidity {
 /// allocation-free.
 // lbq-check: cold — debug_assertions-only; absent from the release builds the zero-alloc proof measures
 #[inline]
+#[cfg_attr(
+    debug_assertions,
+    expect(clippy::panic, reason = "debug-only invariant trap")
+)]
 pub(crate) fn debug_validate_nn(validity: &crate::nn::NnValidityRef<'_>, q: Point) {
     #[cfg(debug_assertions)]
     if let Err(e) = validity.to_owned().validate(q) {
-        // lbq-check: allow(no-unwrap-core) — debug-only invariant trap
         panic!("NN validity invariant violated: {e}");
     }
     let _ = (validity, q);
@@ -170,10 +173,13 @@ pub(crate) fn debug_validate_nn(validity: &crate::nn::NnValidityRef<'_>, q: Poin
 /// release builds. Called when a window validity structure is built.
 // lbq-check: cold — debug_assertions-only; absent from the release builds the zero-alloc proof measures
 #[inline]
+#[cfg_attr(
+    debug_assertions,
+    expect(clippy::panic, reason = "debug-only invariant trap")
+)]
 pub(crate) fn debug_validate_window(validity: &WindowValidity, c: Point) {
     #[cfg(debug_assertions)]
     if let Err(e) = validity.validate(c) {
-        // lbq-check: allow(no-unwrap-core) — debug-only invariant trap
         panic!("window validity invariant violated: {e}");
     }
     let _ = (validity, c);

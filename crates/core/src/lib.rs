@@ -45,6 +45,9 @@
 //! | [`baselines`] | §2 | `[SR01]`, `[ZL01]`, `[TP02]` comparison techniques |
 //! | [`client`] | §1 | trajectories, caching strategies, simulation |
 
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod analysis;
 pub mod baselines;
 pub mod client;

@@ -25,7 +25,9 @@ use lbq_rtree::{Item, QueryScratch, RTree};
 /// the result, `outer` does not.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InfluencePair {
+    /// The result object.
     pub inner: Item,
+    /// The non-result object whose bisector with `inner` bounds the region.
     pub outer: Item,
 }
 

@@ -111,10 +111,13 @@ impl RegionValidity {
 /// Server response to a location-based region query.
 #[derive(Debug, Clone)]
 pub struct RegionResponse {
+    /// The query focus.
     pub query: Point,
+    /// The query radius.
     pub radius: f64,
     /// Points within `radius` of the query focus.
     pub result: Vec<Item>,
+    /// Where the result stays valid.
     pub validity: RegionValidity,
 }
 

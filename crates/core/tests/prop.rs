@@ -91,7 +91,7 @@ fn knn_region_is_sound() {
         let inner: Vec<Item> = tree.knn(q, k).into_iter().map(|(i, _)| i).collect();
         let inner_ids: std::collections::BTreeSet<u64> = inner.iter().map(|i| i.id).collect();
         let (validity, _) = retrieve_influence_set(&tree, q, &inner, unit());
-        // lbq-check: allow(float-eq) — degenerate regions report an exact 0.0
+        // Degenerate regions report an exact 0.0
         assert!(validity.contains(q) || validity.area() == 0.0);
         for p in probes {
             if validity.contains(p) {

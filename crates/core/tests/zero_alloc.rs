@@ -1,7 +1,7 @@
 //! Steady-state zero allocation of the cold-path kernels: once one
 //! [`QueryScratch`] is warm on the exact call shapes, `RTree::knn_in`,
-//! `RTree::tp_nn_in` and `retrieve_influence_set_in` never touch the
-//! heap. The runtime twin of the `hot` annotations `lbq-check` verifies
+//! `RTree::tp_nn_in`, `RTree::window_in`, `RTree::tp_window_in` and
+//! `retrieve_influence_set_in` never touch the heap. The runtime twin of the `hot` annotations `lbq-check` verifies
 //! statically.
 //!
 //! Counts come from the allocator shim shared with `lbq-obs`'s
@@ -13,13 +13,15 @@ mod counting_alloc;
 
 use counting_alloc::allocations;
 use lbq_core::retrieve_influence_set_in;
-use lbq_geom::{Point, Vec2};
+use lbq_geom::{Point, Rect, Vec2};
 use lbq_rtree::{Item, QueryScratch, RTree, RTreeConfig};
 use std::hint::black_box;
 
 const QUERIES: usize = 64;
 const K: usize = 10;
 const T_MAX: f64 = 0.25;
+/// Half-extent of the window queries.
+const H: f64 = 0.01;
 
 /// Allocations the calling thread makes across `iters` calls of `f`.
 fn allocs_over(iters: usize, mut f: impl FnMut(usize)) -> u64 {
@@ -62,6 +64,21 @@ fn warm_scratch_kernels_allocate_nothing() {
     };
     allocs_over(32, &mut tpnn);
     assert_eq!(allocs_over(200, &mut tpnn), 0, "tp_nn_in");
+
+    let window_of = |c: Point| Rect::new(c.x - H, c.y - H, c.x + H, c.y + H);
+    let results: Vec<Vec<Item>> = foci.iter().map(|&c| tree.window(&window_of(c))).collect();
+    let mut window = |j: usize| {
+        black_box(tree.window_in(&window_of(foci[j]), &mut scratch).len());
+    };
+    allocs_over(32, &mut window);
+    assert_eq!(allocs_over(200, &mut window), 0, "window_in");
+
+    let mut tp_window = |j: usize| {
+        let (c, d) = (foci[j], dirs[j]);
+        black_box(tree.tp_window_in(c, d, T_MAX, H, H, &results[j], &mut scratch));
+    };
+    allocs_over(32, &mut tp_window);
+    assert_eq!(allocs_over(200, &mut tp_window), 0, "tp_window_in");
 
     // The whole region retrieval (TPNN chain + pair list + polygon
     // clipping) runs on the scratch too.

@@ -26,6 +26,8 @@
 //! distributed like the data (a query location is a perturbed random
 //! data point), with square window queries.
 
+#![deny(missing_docs)]
+
 use lbq_geom::{Point, Rect, Segment, Vec2};
 use lbq_rng::Xoshiro256ss;
 use lbq_rtree::Item;
@@ -33,8 +35,11 @@ use lbq_rtree::Item;
 /// A named point dataset with its universe.
 #[derive(Debug, Clone)]
 pub struct Dataset {
+    /// Display name, as the experiment tables print it.
     pub name: String,
+    /// The points, ids `0..len`.
     pub items: Vec<Item>,
+    /// The rectangle every point lies in.
     pub universe: Rect,
 }
 
@@ -283,6 +288,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn gr_like_properties() {
         let d = gr_like_sized(5000, 3);
         assert_eq!(d.len(), 5000);
@@ -311,6 +317,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn na_like_properties() {
         let d = na_like_sized(20_000, 11);
         assert_eq!(d.len(), 20_000);

@@ -13,8 +13,11 @@ use crate::point::{Point, Vec2};
 /// normal (pointing away from the kept side).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HalfPlane {
+    /// Normal x component.
     pub a: f64,
+    /// Normal y component.
     pub b: f64,
+    /// Offset: the boundary is `a·x + b·y = c`.
     pub c: f64,
 }
 
@@ -188,6 +191,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn ray_exit_times() {
         let h = HalfPlane::through(Point::new(2.0, 0.0), Vec2::new(1.0, 0.0)); // keep x ≤ 2
         let o = Point::new(0.0, 0.0);

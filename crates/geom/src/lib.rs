@@ -23,6 +23,9 @@
 //! * Convex polygons store vertices in counter-clockwise order.
 //! * Half-planes are closed sets `a·x + b·y ≤ c`.
 
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod halfplane;
 pub mod point;
 pub mod polygon;

@@ -11,14 +11,18 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// them apart catches a class of sign errors at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
+    /// Horizontal coordinate.
     pub x: f64,
+    /// Vertical coordinate.
     pub y: f64,
 }
 
 /// A displacement / direction vector in the plane.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
+    /// Horizontal component.
     pub x: f64,
+    /// Vertical component.
     pub y: f64,
 }
 
@@ -251,6 +255,7 @@ mod tests {
     use crate::approx_eq;
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn distances() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
@@ -271,6 +276,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn vector_algebra() {
         let v = Vec2::new(3.0, 4.0);
         assert_eq!(v.norm(), 5.0);
@@ -296,6 +302,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn orientation_signs() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(1.0, 0.0);

@@ -302,7 +302,7 @@ fn dedup_ring(v: &mut Vec<Point>) {
     v.dedup_by(|a, b| a.dist_sq(*b) <= crate::EPS * crate::EPS);
     while v.len() >= 2 {
         let first = v[0];
-        // lbq-check: allow(no-unwrap-core) — the loop guard keeps len ≥ 2
+        #[expect(clippy::expect_used, reason = "the loop guard keeps len ≥ 2")]
         let last = *v.last().expect("len >= 2");
         if first.dist_sq(last) <= crate::EPS * crate::EPS {
             v.pop();
@@ -346,6 +346,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn empty_polygon() {
         let e = ConvexPolygon::empty();
         assert!(e.is_empty());

@@ -15,9 +15,13 @@ use crate::point::{Point, Vec2};
 /// A closed axis-aligned rectangle `[xmin, xmax] × [ymin, ymax]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
+    /// Left edge.
     pub xmin: f64,
+    /// Bottom edge.
     pub ymin: f64,
+    /// Right edge.
     pub xmax: f64,
+    /// Top edge.
     pub ymax: f64,
 }
 
@@ -356,6 +360,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn basic_measures() {
         let r = Rect::new(1.0, 2.0, 4.0, 6.0);
         assert_eq!(r.width(), 3.0);
@@ -366,6 +371,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn centered_roundtrip() {
         let c = Point::new(3.0, -1.0);
         let r = Rect::centered(c, 2.0, 0.5);
@@ -375,6 +381,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn containment_and_intersection() {
         let r = unit();
         assert!(r.contains(Point::new(0.5, 0.5)));
@@ -422,6 +429,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn mindist_maxdist() {
         let r = unit();
         // Inside → 0.
@@ -452,7 +460,7 @@ mod tests {
         assert_eq!(r.inflate(1.0, 2.0), Rect::new(-1.0, -2.0, 2.0, 3.0));
         // Over-shrinking collapses to the center, never inverts.
         let collapsed = r.inflate(-5.0, -5.0);
-        // lbq-check: allow(float-eq) — collapse produces an exact 0.0
+        // Collapse produces an exact 0.0
         assert!(collapsed.width() == 0.0 && collapsed.height() == 0.0);
         assert_eq!(collapsed.center(), r.center());
 

@@ -80,6 +80,7 @@ mod tests {
     use crate::approx_eq;
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn empty_union() {
         assert_eq!(rect_union_area(&[]), 0.0);
         // Degenerate rectangles contribute nothing.
@@ -125,6 +126,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn difference_basic() {
         let base = Rect::new(0.0, 0.0, 4.0, 4.0);
         // A corner bite of area 1.

@@ -7,7 +7,9 @@ use crate::point::{Point, Vec2};
 /// A directed line segment from `a` to `b`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
+    /// Start point.
     pub a: Point,
+    /// End point.
     pub b: Point,
 }
 
@@ -70,6 +72,7 @@ mod tests {
     use crate::approx_eq;
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn length_midpoint() {
         let s = Segment::new(Point::new(0.0, 0.0), Point::new(3.0, 4.0));
         assert_eq!(s.length(), 5.0);
@@ -79,6 +82,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn point_distance() {
         let s = Segment::new(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
         // Above the middle: perpendicular distance.

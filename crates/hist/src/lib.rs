@@ -21,13 +21,18 @@
 //! This is the exact greedy of the Minskew paper; each candidate split
 //! is evaluated in O(rows + cols) via prefix sums.
 
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use lbq_geom::{Point, Rect};
 
 /// One histogram bucket: a rectangle with a point count, assumed
 /// internally uniform.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bucket {
+    /// The bucket's extent.
     pub rect: Rect,
+    /// Points inside `rect`.
     pub count: f64,
 }
 
@@ -284,7 +289,7 @@ impl Prefix {
     /// Spatial skew of a block: Σ (nᵢ − n̄)² = Σ nᵢ² − (Σ nᵢ)²/cells.
     fn skew(&self, b: &Block) -> f64 {
         let cells = ((b.r1 - b.r0) * (b.c1 - b.c0)) as f64;
-        // lbq-check: allow(float-eq) — integer-valued cast, 0.0 is exact
+        // Integer-valued cast, 0.0 is exact
         if cells == 0.0 {
             return 0.0;
         }
@@ -353,6 +358,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn estimate_full_universe_is_total() {
         let pts = uniform_points(2000, 3);
         let h = Minskew::build(&pts, unit(), 16, 20);
@@ -414,6 +420,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn empty_dataset() {
         let h = Minskew::build(&[], unit(), 10, 5);
         assert_eq!(h.estimate_count(&unit()), 0.0);
@@ -435,6 +442,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn prefix_sums_correct() {
         let cells = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
         let p = Prefix::new(&cells, 3);

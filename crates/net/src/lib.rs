@@ -67,6 +67,9 @@
 //! server.shutdown();
 //! ```
 
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod client;
 mod server;
 mod session;

@@ -169,11 +169,11 @@ pub fn render_snapshot(seq: u64) -> String {
     // Flight recorder stats + drained slow captures.
     if let Some(r) = recorder::recorder() {
         let s = r.stats();
-        let _ = write!(
+        let _ = writeln!(
             out,
             "{{\"type\":\"recorder\",\"capacity\":{},\"total\":{},\"dropped\":{},\
              \"slow-captured\":{},\"threshold-ns\":{},\"latency-count\":{},\"latency-p50-ns\":{},\
-             \"latency-p99-ns\":{},\"latency-mean-ns\":{}}}\n",
+             \"latency-p99-ns\":{},\"latency-mean-ns\":{}}}",
             s.capacity,
             s.total,
             s.dropped,
@@ -191,9 +191,9 @@ pub fn render_snapshot(seq: u64) -> String {
 
     // Trailer: line count includes header and trailer.
     let lines = out.lines().count() + 1;
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "{{\"type\":\"snapshot-end\",\"seq\":{seq},\"lines\":{lines}}}\n"
+        "{{\"type\":\"snapshot-end\",\"seq\":{seq},\"lines\":{lines}}}"
     );
     out
 }

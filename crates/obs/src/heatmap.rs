@@ -65,11 +65,7 @@ pub struct TileStat {
 impl TileStat {
     /// Mean latency per hit, ns.
     pub fn mean_ns(&self) -> u64 {
-        if self.hits == 0 {
-            0
-        } else {
-            self.total_ns / self.hits
-        }
+        self.total_ns.checked_div(self.hits).unwrap_or(0)
     }
 }
 
@@ -90,7 +86,7 @@ impl Heatmap {
         } else {
             key
         };
-        // lbq-check: allow(lossy-cast) — masked to HEATMAP_TILE_BITS
+        // Masked to HEATMAP_TILE_BITS
         (shifted as u32) & ((HEATMAP_SLOTS - 1) as u32)
     }
 
@@ -122,7 +118,7 @@ impl Heatmap {
                     return None;
                 }
                 Some(TileStat {
-                    // lbq-check: allow(lossy-cast) — i < HEATMAP_SLOTS = 2^12
+                    // i < HEATMAP_SLOTS = 2^12
                     tile: i as u32,
                     hits,
                     total_ns: self.0.total_ns[i].load(Ordering::Relaxed),
@@ -208,7 +204,7 @@ mod tests {
     fn out_of_range_tiles_mask_into_bounds() {
         let h = Heatmap::new();
         h.record(u32::MAX, 7);
-        // lbq-check: allow(lossy-cast) — HEATMAP_SLOTS = 2^12
+        // HEATMAP_SLOTS = 2^12
         let last = (HEATMAP_SLOTS - 1) as u32;
         assert_eq!(h.hits(last), 1);
         let snap = h.snapshot();

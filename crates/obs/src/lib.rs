@@ -57,6 +57,9 @@
 //! assert_eq!(ring.records().len(), 3); // event + two spans
 //! ```
 
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod export;
 pub mod heatmap;
 pub mod metrics;

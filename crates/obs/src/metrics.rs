@@ -110,7 +110,7 @@ impl Default for Histogram {
 #[inline]
 fn bucket_of(ns: u64) -> usize {
     if ns < 4 {
-        // lbq-check: allow(lossy-cast) — ns < 4 fits any usize
+        // ns < 4 fits any usize
         return ns as usize;
     }
     let e = (63 - ns.leading_zeros()) as usize; // ≥ 2
@@ -202,7 +202,7 @@ impl Histogram {
             p50_ns: quantile_of(&buckets, count, 0.50),
             p95_ns: quantile_of(&buckets, count, 0.95),
             p99_ns: quantile_of(&buckets, count, 0.99),
-            mean_ns: if count == 0 { 0 } else { sum / count },
+            mean_ns: sum.checked_div(count).unwrap_or(0),
         }
     }
 }
@@ -212,7 +212,7 @@ fn quantile_of(buckets: &[u64; HISTOGRAM_BUCKETS], count: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;
     }
-    // lbq-check: allow(lossy-cast) — rank ≤ count by construction
+    // Rank ≤ count by construction
     let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
     let mut seen = 0u64;
     for (i, b) in buckets.iter().enumerate() {

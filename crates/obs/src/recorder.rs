@@ -168,14 +168,14 @@ fn unpack(w: &[u64; SLOT_WORDS]) -> QueryEvent {
         query_id: w[0],
         kind: QueryKind::from_u64(w[1] & 0xff),
         tier: CacheTier::from_u64((w[1] >> 8) & 0xff),
-        // lbq-check: allow(lossy-cast) — packed as u32, high bits zero
+        // Packed as u32, high bits zero
         k: (w[1] >> 32) as u32,
-        // lbq-check: allow(lossy-cast) — packed as u32
+        // Packed as u32
         tile: w[2] as u32,
         latency_ns: w[3],
-        // lbq-check: allow(lossy-cast) — packed as u32
+        // Packed as u32
         node_accesses: (w[4] >> 32) as u32,
-        // lbq-check: allow(lossy-cast) — packed as u32, masked
+        // Packed as u32, masked
         page_accesses: (w[4] & 0xffff_ffff) as u32,
         stages,
     }
@@ -315,7 +315,7 @@ impl FlightRecorder {
     /// what lets a reader trust an unchanged even stamp.
     pub fn record(&self, ev: &QueryEvent) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        // lbq-check: allow(lossy-cast) — masked to ring capacity
+        // Masked to ring capacity
         let slot = &self.slots[(ticket & self.mask) as usize];
         let stable = 2 * ticket + 2;
         // lbq-check: allow(atomic-ordering) — the claim publishes nothing; the release fence below orders it before the payload

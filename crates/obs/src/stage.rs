@@ -179,24 +179,6 @@ impl StageNanos {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         STAGE_NAMES.iter().copied().zip(self.0.iter().copied())
     }
-
-    /// Element-wise saturating sum.
-    pub fn saturating_add(mut self, other: StageNanos) -> StageNanos {
-        for (a, b) in self.0.iter_mut().zip(other.0) {
-            *a = a.saturating_add(b);
-        }
-        self
-    }
-
-    /// Element-wise division, for spreading a shared stage across the
-    /// `n` queries that shared it. `n = 0` is treated as 1.
-    pub fn amortized(mut self, n: u64) -> StageNanos {
-        let n = n.max(1);
-        for a in self.0.iter_mut() {
-            *a /= n;
-        }
-        self
-    }
 }
 
 /// Harvests and zeroes this thread's stage accumulators.
@@ -310,18 +292,16 @@ mod tests {
     }
 
     #[test]
-    fn amortized_and_sum() {
+    fn hand_filled_total_is_zero_and_iter() {
         let mut a = StageNanos::default();
-        a.0[Stage::GroupKnn as usize] = 900;
-        a.0[Stage::TpnnChain as usize] = 300;
-        let third = a.amortized(3);
-        assert_eq!(third.get(Stage::GroupKnn), 300);
-        assert_eq!(third.get(Stage::TpnnChain), 100);
-        let sum = third.saturating_add(third);
-        assert_eq!(sum.total(), 800);
-        assert!(!sum.is_zero());
+        assert!(a.is_zero());
+        a.0[Stage::GroupKnn as usize] = 600;
+        a.0[Stage::TpnnChain as usize] = 200;
+        assert_eq!(a.get(Stage::TpnnChain), 200);
+        assert_eq!(a.total(), 800);
+        assert!(!a.is_zero());
         assert_eq!(
-            sum.iter().find(|(n, _)| *n == "group-knn").map(|(_, v)| v),
+            a.iter().find(|(n, _)| *n == "group-knn").map(|(_, v)| v),
             Some(600)
         );
     }

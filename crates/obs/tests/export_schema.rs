@@ -1,10 +1,13 @@
 //! Exporter schema round-trip: `lbq_obs::render_snapshot` output must
-//! parse with the workspace's one JSON reader ([`lbq_check::json`]) and
+//! parse with the workspace's one JSON reader (`support/json.rs`) and
 //! carry the versioned frame the snapshot consumers (the live-engine
 //! smoke in `lbq-serve/tests/obs_attribution.rs`, offline tooling) key
 //! on. In its own process because it arms the process-global recorder.
 
-use lbq_check::json::{self, Value as Json};
+#[path = "support/json.rs"]
+mod json;
+
+use json::Value as Json;
 use lbq_obs::{QueryEvent, QueryKind, RecorderConfig, StageNanos};
 
 #[test]
@@ -128,4 +131,18 @@ fn snapshot_round_trips_through_json_reader() {
     assert!(saw.2, "no recorder line");
     assert!(saw.3, "no slow-query line");
     assert!(saw.4, "no snapshot-end trailer");
+}
+
+#[test]
+fn json_reader_rejects_malformed_documents() {
+    assert!(json::parse("{\"a\": 1} trailing").is_err());
+    assert!(json::parse("{\"a\": }").is_err());
+    assert!(json::parse("[1, 2").is_err());
+    assert_eq!(
+        json::parse("{\"a\": [1, \"x\\n\"]}").expect("well formed"),
+        Json::Obj(std::collections::HashMap::from([(
+            "a".to_string(),
+            Json::Arr(vec![Json::Num(1.0), Json::Str("x\n".to_string())]),
+        )]))
+    );
 }

@@ -5,11 +5,11 @@
 //!
 //! Implementing `GlobalAlloc` requires `unsafe`; the workspace denies
 //! `unsafe_code` via a Cargo lint (a CLI `-D`), which this module-level
-//! `allow` overrides for the including test binaries only. Counts are
+//! `expect` overrides for the including test binaries only. Counts are
 //! **per thread**: cargo runs the tests of one binary on parallel
 //! threads, pool workers allocate on their own, and each measured
 //! window must see only its own thread's allocations.
-#![allow(unsafe_code)]
+#![expect(unsafe_code, reason = "implementing GlobalAlloc requires unsafe")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

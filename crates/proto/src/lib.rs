@@ -49,6 +49,9 @@
 //!   frames minted by future revisions; unknown error codes stay
 //!   readable as numbers.
 
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod convert;
 mod frames;
 mod wire;

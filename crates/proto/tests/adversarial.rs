@@ -283,7 +283,7 @@ fn decode_never_panics_on_random_bytes() {
 
 #[test]
 fn decode_never_panics_on_mutated_valid_frames() {
-    let mut rng = Xoshiro256ss::seed_from_u64(0xBAD5_EED);
+    let mut rng = Xoshiro256ss::seed_from_u64(0x0BAD_5EED);
     let base = {
         let frame = valid_error_like_knn_response();
         let mut b = Vec::new();

@@ -22,6 +22,8 @@
 //! the import. Determinism per seed is guaranteed and locked by tests:
 //! datasets named in EXPERIMENTS.md must not drift between releases.
 
+#![deny(missing_docs)]
+
 use std::ops::Range;
 
 /// SplitMix64: `z = (x += golden); mix(z)`.

@@ -64,10 +64,13 @@ impl Iterator for NearestIter<'_> {
 
     fn next(&mut self) -> Option<(Item, f64)> {
         while let Some(Reverse((OrdF64(d_sq), ticket, _))) = self.heap.pop() {
-            // lbq-check: allow(lossy-cast) — ticket was minted from slots.len()
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::expect_used,
+                reason = "ticket was minted from slots.len(); tickets are heap-unique"
+            )]
             let entry = self.slots[ticket as usize]
                 .take()
-                // lbq-check: allow(no-unwrap-core) — tickets are heap-unique
                 .expect("each ticket is consumed once");
             match entry {
                 QueueEntry::Item(item) => return Some((item, d_sq.sqrt())),

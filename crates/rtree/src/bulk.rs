@@ -26,7 +26,12 @@ impl RTree {
         if items.is_empty() {
             return tree;
         }
-        // lbq-check: allow(lossy-cast) — fill ∈ (0, 1], product is small
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_precision_loss,
+            clippy::cast_sign_loss,
+            reason = "fill ∈ (0, 1], product is small"
+        )]
         let node_cap = ((config.max_entries as f64 * DEFAULT_BULK_FILL).round() as usize)
             .clamp(config.min_entries.max(2), config.max_entries);
         tree.len = items.len();
@@ -57,13 +62,18 @@ fn pack_level(tree: &mut RTree, mut entries: Vec<Entry>, level: u32, cap: usize)
     if n <= cap {
         // Single node (possibly the root; roots may be under-filled).
         let node = Node::from_entries(level, entries);
-        // lbq-check: allow(no-unwrap-core) — pack_level is never called empty
+        #[expect(clippy::expect_used, reason = "pack_level is never called empty")]
         let mbr = node.mbr().expect("non-empty pack");
         let id = tree.alloc(node);
         return vec![Entry::Child { mbr, node: id }];
     }
     let node_count = n.div_ceil(cap);
-    // lbq-check: allow(lossy-cast) — √node_count is small and non-negative
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "√node_count is small and non-negative"
+    )]
     let slice_count = (node_count as f64).sqrt().ceil() as usize;
     let slice_size = slice_count.max(1) * cap;
 
@@ -88,7 +98,7 @@ fn pack_level(tree: &mut RTree, mut entries: Vec<Entry>, level: u32, cap: usize)
             let take = chunk_size(remaining.len(), cap, min, max);
             let group: Vec<Entry> = remaining.drain(..take).collect();
             let node = Node::from_entries(level, group);
-            // lbq-check: allow(no-unwrap-core) — chunk_size returns ≥ 1
+            #[expect(clippy::expect_used, reason = "chunk_size returns ≥ 1")]
             let mbr = node.mbr().expect("non-empty group");
             let id = tree.alloc(node);
             out.push(Entry::Child { mbr, node: id });

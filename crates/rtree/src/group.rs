@@ -106,11 +106,12 @@ impl RTree {
         // Probe the first query with a standard descent; its k-th
         // distance is the tile's pruning radius estimate.
         self.knn_core(queries[0], k, queue, &mut group[0], probe);
-        // lbq-check: allow(no-unwrap-core) — queries[0] was probed above
+        #[expect(clippy::expect_used, reason = "queries[0] was probed above")]
         let group_rect = Rect::bounding(queries).expect("queries is non-empty");
         let r_sq = group[0].worst(); // +∞ when k ≥ len (full scan anyway)
         let diag_sq =
             group_rect.width() * group_rect.width() + group_rect.height() * group_rect.height();
+        #[expect(clippy::cast_precision_loss, reason = "group sizes are far below 2^52")]
         let shared = m > 1 && diag_sq <= r_sq * m as f64;
 
         if shared {

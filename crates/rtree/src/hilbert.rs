@@ -25,7 +25,7 @@ pub const KEY_ORDER: u32 = 16;
 ///
 /// `x` and `y` must be `< 2^order`. The result is `< 4^order`.
 pub fn xy2d(order: u32, mut x: u32, mut y: u32) -> u64 {
-    debug_assert!(order >= 1 && order <= 31);
+    debug_assert!((1..=31).contains(&order));
     debug_assert!(x < (1u32 << order) && y < (1u32 << order));
     let n: u32 = 1 << order;
     let mut d: u64 = 0;
@@ -50,15 +50,21 @@ pub fn xy2d(order: u32, mut x: u32, mut y: u32) -> u64 {
 /// Grid cell `(x, y)` of curve position `d` on a `2^order` grid —
 /// the exact inverse of [`xy2d`].
 pub fn d2xy(order: u32, d: u64) -> (u32, u32) {
-    debug_assert!(order >= 1 && order <= 31);
+    debug_assert!((1..=31).contains(&order));
     debug_assert!(d < (1u64 << (2 * order)));
     let (mut x, mut y) = (0u32, 0u32);
     let mut t = d;
     let mut s: u32 = 1;
     while s < (1 << order) {
-        // lbq-check: allow(lossy-cast) — masked to the low bit right here
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "masked to the low bit right here"
+        )]
         let rx = 1 & (t / 2) as u32;
-        // lbq-check: allow(lossy-cast) — masked to the low bit right here
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "masked to the low bit right here"
+        )]
         let ry = 1 & ((t as u32) ^ rx);
         if ry == 0 {
             if rx == 1 {
@@ -82,12 +88,16 @@ pub fn d2xy(order: u32, d: u64) -> (u32, u32) {
 /// **stable** sort by this key preserves the input order of duplicates.
 pub fn hilbert_key(p: Point, universe: &Rect) -> u64 {
     let side = (1u32 << KEY_ORDER) - 1;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "t ∈ [0, 1], product ≤ side"
+    )]
     let quant = |v: f64, lo: f64, extent: f64| -> u32 {
         if extent <= 0.0 || !v.is_finite() {
             return 0;
         }
         let t = ((v - lo) / extent).clamp(0.0, 1.0);
-        // lbq-check: allow(lossy-cast) — t ∈ [0, 1], product ≤ side
         (t * f64::from(side)).round() as u32
     };
     let x = quant(p.x, universe.xmin, universe.width());
@@ -112,7 +122,7 @@ pub fn hilbert_key(p: Point, universe: &Rect) -> u64 {
 /// the hot-tile index fetches sites from (`lbq-serve`), and the shape
 /// `lbq-obs` heatmap slots aggregate over.
 pub fn tile_rect(universe: &Rect, tile: u32, tile_bits: u32) -> Rect {
-    debug_assert!(tile_bits >= 2 && tile_bits <= 2 * KEY_ORDER && tile_bits % 2 == 0);
+    debug_assert!((2..=2 * KEY_ORDER).contains(&tile_bits) && tile_bits % 2 == 0);
     let order = tile_bits / 2;
     debug_assert!(u64::from(tile) < (1u64 << tile_bits));
     let (cx, cy) = d2xy(order, u64::from(tile));
@@ -287,7 +297,7 @@ mod tests {
             for (fx, fy) in [(0.3, 0.3), (0.3, 0.7), (0.7, 0.3), (0.7, 0.7), (0.5, 0.5)] {
                 let p = Point::new(r.xmin + fx * r.width(), r.ymin + fy * r.height());
                 let key = hilbert_key(p, &universe);
-                // lbq-check: allow(lossy-cast) -- top 12 bits fit in u32
+                // Top 12 bits fit in u32.
                 assert_eq!((key >> shift) as u32, tile, "tile {tile} probe ({fx},{fy})");
             }
         }
@@ -306,7 +316,7 @@ mod tests {
                 universe.ymin + ty * universe.height(),
             );
             let key = hilbert_key(p, &universe);
-            // lbq-check: allow(lossy-cast) -- top 12 bits fit in u32
+            #[expect(clippy::cast_possible_truncation, reason = "top 12 bits fit in u32")]
             let tile = (key >> shift) as u32;
             let r = tile_rect(&universe, tile, TILE_BITS);
             assert!(

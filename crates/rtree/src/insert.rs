@@ -31,8 +31,7 @@ impl RTree {
         let mut reinserted = [false; MAX_LEVELS];
         self.insert_from_root(Entry::Leaf(item), 0, &mut reinserted);
         self.len += 1;
-        // lbq-check: allow(lossy-cast) — MAX_LEVELS is the constant 32
-        debug_assert!(self.nodes[idx(self.root)].level < MAX_LEVELS as u32);
+        debug_assert!((self.nodes[idx(self.root)].level as usize) < MAX_LEVELS);
         // Full validation on every insert would make debug test runs
         // O(n²); amortize by validating at powers of two.
         if self.len.is_power_of_two() {
@@ -63,10 +62,10 @@ impl RTree {
     /// root.
     fn grow_root(&mut self, sibling: Entry) {
         let old_root = self.root;
+        #[expect(clippy::expect_used, reason = "a node only splits on overflow")]
         let old_mbr = self
             .node(old_root)
             .mbr()
-            // lbq-check: allow(no-unwrap-core) — a node only splits on overflow
             .expect("split root cannot be empty");
         let level = self.node(old_root).level + 1;
         let mut root = Node::new_internal(level);
@@ -93,11 +92,8 @@ impl RTree {
             let child = self.node(node_id).children[idx];
             let result = self.insert_rec(child, entry, target_level, reinserted);
             // The child changed shape whatever happened; refresh its MBR.
-            let child_mbr = self
-                .node(child)
-                .mbr()
-                // lbq-check: allow(no-unwrap-core) — insertion only adds entries
-                .expect("child emptied during insert");
+            #[expect(clippy::expect_used, reason = "insertion only adds entries")]
+            let child_mbr = self.node(child).mbr().expect("child emptied during insert");
             self.node_mut(node_id).mbrs[idx] = child_mbr;
             match result {
                 Propagate::Done => {}
@@ -112,7 +108,7 @@ impl RTree {
         // Overflow treatment (R* OT1): the first overflow at each level
         // of one logical insertion triggers forced reinsertion; later
         // overflows (and the root) split.
-        // lbq-check: allow(lossy-cast) — u32 → usize is widening here
+        // u32 → usize is widening here
         let lvl = node_level as usize;
         if node_id != self.root && self.config.reinsert_count > 0 && !reinserted[lvl] {
             reinserted[lvl] = true;
@@ -127,6 +123,10 @@ impl RTree {
     /// `CANDIDATES` children of least area enlargement, as in the
     /// original paper); higher up, least *area* enlargement wins. Ties
     /// break by smaller area, then by index for determinism.
+    #[expect(
+        clippy::expect_used,
+        reason = "internal nodes are non-empty, so order starts with ≥ 1 index"
+    )]
     fn choose_subtree(&self, node_id: NodeId, mbr: &Rect) -> usize {
         const CANDIDATES: usize = 32;
         let node = self.node(node_id);
@@ -144,7 +144,6 @@ impl RTree {
                     let (eb, ab) = scored(b);
                     ea.total_cmp(&eb).then(aa.total_cmp(&ab))
                 })
-                // lbq-check: allow(no-unwrap-core) — internal nodes are non-empty
                 .expect("internal node has entries");
         }
         // Children are leaves: rank by area enlargement, evaluate overlap
@@ -177,7 +176,6 @@ impl RTree {
                     .then(ea.total_cmp(&eb))
                     .then(aa.total_cmp(&ab))
             })
-            // lbq-check: allow(no-unwrap-core) — order starts with ≥ 1 index
             .expect("candidate list non-empty")
     }
 
@@ -186,10 +184,10 @@ impl RTree {
     /// "close reinsert" variant, which the original paper found best).
     fn forced_reinsert(&mut self, node_id: NodeId) -> Vec<Entry> {
         let p = self.config.reinsert_count;
+        #[expect(clippy::expect_used, reason = "reinsertion implies overflow")]
         let center = self
             .node(node_id)
             .mbr()
-            // lbq-check: allow(no-unwrap-core) — reinsertion implies overflow
             .expect("overflowing node is non-empty")
             .center();
         let node = self.node_mut(node_id);
@@ -234,7 +232,7 @@ impl RTree {
                 }
             }
         }
-        // lbq-check: allow(no-unwrap-core) — the loop above always sets `best`
+        #[expect(clippy::expect_used, reason = "the loop above always sets `best`")]
         let (_, axis, by_upper) = best.expect("at least one axis evaluated");
         sort_entries(&mut entries, axis, by_upper);
 
@@ -256,7 +254,7 @@ impl RTree {
         let second = entries.split_off(split_at);
         self.node_mut(node_id).set_entries(entries);
         let sibling = Node::from_entries(level, second);
-        // lbq-check: allow(no-unwrap-core) — both split groups hold ≥ min entries
+        #[expect(clippy::expect_used, reason = "both split groups hold ≥ min entries")]
         let mbr = sibling.mbr().expect("split group non-empty");
         // `alloc` needs &mut self; build the node first.
         let node = self.alloc(sibling);

@@ -58,6 +58,17 @@
 //! subscriber installed the hooks cost a handful of integer ops per
 //! query (see DESIGN.md §9).
 
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 mod browse;
 mod bulk;
 mod group;

@@ -26,7 +26,9 @@ pub type NodeId = u32;
 /// result diffs) without comparing floating-point coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Item {
+    /// Where the object is.
     pub point: Point,
+    /// The opaque record identifier.
     pub id: u64,
 }
 
@@ -64,7 +66,7 @@ impl Entry {
     pub(crate) fn child(&self) -> NodeId {
         match self {
             Entry::Child { node, .. } => *node,
-            // lbq-check: allow(no-unwrap-core) — typed-level traversal contract
+            #[expect(clippy::panic, reason = "typed-level traversal contract")]
             Entry::Leaf(_) => panic!("child() on a leaf entry"),
         }
     }
@@ -72,12 +74,15 @@ impl Entry {
     /// The item of a leaf entry. Panics on internal entries. Queries
     /// read leaf items directly from the SoA arrays; this accessor
     /// remains for tests and future mutation-path use.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "queries read leaf items from the SoA arrays")
+    )]
     #[inline]
     pub(crate) fn item(&self) -> Item {
         match self {
             Entry::Leaf(item) => *item,
-            // lbq-check: allow(no-unwrap-core) — typed-level traversal contract
+            #[expect(clippy::panic, reason = "typed-level traversal contract")]
             Entry::Child { .. } => panic!("item() on an internal entry"),
         }
     }

@@ -66,6 +66,10 @@ impl RTree {
             }
             if delta.node_accesses > 0 && self.has_buffer() {
                 let hits = delta.node_accesses - delta.page_faults;
+                #[expect(
+                    clippy::cast_precision_loss,
+                    reason = "access counts are far below 2^52"
+                )]
                 span.record("buffer-hit-rate", hits as f64 / delta.node_accesses as f64);
             }
         }

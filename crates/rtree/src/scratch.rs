@@ -76,7 +76,7 @@ impl CandidateSet {
     /// group kNN promise bit-identical results.
     pub(crate) fn consider(&mut self, dist_sq: f64, item: Item) {
         if self.full() {
-            // lbq-check: allow(no-unwrap-core) — full() implies k ≥ 1 slot
+            #[expect(clippy::expect_used, reason = "full() implies k ≥ 1 slot")]
             let last = self.slots.last().expect("full set is non-empty");
             if last
                 .dist_sq
@@ -195,6 +195,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn keeps_best_k_sorted() {
         let mut c = CandidateSet::default();
         c.reset(3);
@@ -207,6 +208,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn worst_is_infinite_while_underfull() {
         let mut c = CandidateSet::default();
         c.reset(2);

@@ -104,12 +104,12 @@ impl LruBuffer {
         self.faults += 1;
         if self.resident.len() >= self.capacity {
             // Evict the least recently used page.
+            #[expect(clippy::expect_used, reason = "guarded by the full check")]
             let victim = *self
                 .resident
                 .iter()
                 .min_by_key(|(_, &stamp)| stamp)
                 .map(|(id, _)| id)
-                // lbq-check: allow(no-unwrap-core) — guarded by the full check
                 .expect("buffer non-empty when full");
             self.resident.remove(&victim);
         }

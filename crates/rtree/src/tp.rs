@@ -153,7 +153,10 @@ impl RTree {
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the public entry points' arguments plus probe state"
+    )]
     fn tp_knn_probed(
         &self,
         q: Point,
@@ -352,7 +355,10 @@ impl RTree {
 /// keep every test strictly conservative against the ≲1e-14 rounding of
 /// the influence-time division, so pruned and unpruned scans return
 /// bit-identical events.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the leaf scan threads the prune state"
+)]
 fn scan_leaf(
     items: &[Item],
     q: Point,
@@ -384,6 +390,7 @@ fn scan_leaf(
                 if let Some((t, partner)) =
                     influence_time_from(dp_sq, dir, item.point, inner, inner_d2, horizon)
                 {
+                    #[expect(clippy::float_cmp, reason = "exact time tie, broken by object id")]
                     let better = t < horizon
                         || (t <= horizon
                             && best
@@ -410,7 +417,10 @@ fn scan_leaf(
 // The hot path precomputes dist² and calls `influence_time_from`; this
 // convenience wrapper remains for the reference implementations in the
 // test suite.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg_attr(
+    not(test),
+    expect(dead_code, reason = "only the reference scans in the tests call it")
+)]
 pub(crate) fn influence_time(q: Point, dir: Vec2, p: Point, inner: &[Item]) -> Option<(f64, Item)> {
     let inner_d2: Vec<f64> = inner.iter().map(|o| q.dist_sq(o.point)).collect();
     influence_time_from(q.dist_sq(p), dir, p, inner, &inner_d2, f64::INFINITY)
@@ -473,7 +483,7 @@ fn influence_time_from(
 fn exact_entry_bound(q: Point, dir: Vec2, mbr: &Rect, inner: &[Item], t_max: f64) -> f64 {
     // Inside the MBR right now → can influence immediately. mindist_sq
     // returns an exact 0.0 for interior points (clamped differences).
-    // lbq-check: allow(float-eq) — comparing against that exact sentinel zero
+    // Comparing against that exact sentinel zero.
     if mbr.mindist_sq(q) == 0.0 {
         return 0.0;
     }
@@ -620,6 +630,7 @@ mod tests {
                 continue;
             }
             if let Some((t, partner)) = influence_time(q, dir, item.point, inner) {
+                #[expect(clippy::float_cmp, reason = "exact time tie, broken by object id")]
                 if t <= t_max
                     && best
                         .as_ref()

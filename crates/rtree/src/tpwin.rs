@@ -34,7 +34,9 @@ pub enum TpWindowChange {
 /// The first result-changing event of a moving window query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TpWindowEvent {
+    /// The object entering or leaving the window.
     pub object: Item,
+    /// Whether the object enters or leaves.
     pub change: TpWindowChange,
     /// Distance traveled along `dir` until the change.
     pub time: f64,
@@ -60,7 +62,10 @@ impl RTree {
 
     /// [`RTree::tp_window`] against a reusable scratch: zero
     /// steady-state allocations.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "tp_window's arguments plus the scratch"
+    )]
     pub fn tp_window_in(
         &self,
         c: Point,
@@ -81,7 +86,10 @@ impl RTree {
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "tp_window_in's arguments plus probe state"
+    )]
     fn tp_window_probed(
         &self,
         c: Point,
@@ -96,6 +104,7 @@ impl RTree {
         debug_assert!((dir.norm() - 1.0).abs() < lbq_geom::EPS, "dir must be unit");
         assert!(hx > 0.0 && hy > 0.0);
         let mut best: Option<TpWindowEvent> = None;
+        #[expect(clippy::float_cmp, reason = "exact time tie, broken by object id")]
         let better = |cand: &TpWindowEvent, best: &Option<TpWindowEvent>| -> bool {
             match best {
                 None => true,
@@ -210,6 +219,7 @@ mod tests {
         result: &[Item],
     ) -> Option<TpWindowEvent> {
         let mut best: Option<TpWindowEvent> = None;
+        #[expect(clippy::float_cmp, reason = "exact time tie, broken by object id")]
         let mut consider = |ev: TpWindowEvent| {
             if ev.time <= t_max
                 && best.as_ref().is_none_or(|b| {

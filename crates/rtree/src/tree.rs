@@ -112,7 +112,12 @@ impl RTree {
     /// Convenience: attach a buffer sized as `fraction` of the current
     /// node count, as the paper does with 10%.
     pub fn set_buffer_fraction(&self, fraction: f64) {
-        // lbq-check: allow(lossy-cast) — page count is small, positive, finite
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_precision_loss,
+            clippy::cast_sign_loss,
+            reason = "page count is small, positive, finite"
+        )]
         let pages = ((self.node_count() as f64) * fraction).ceil().max(1.0) as usize;
         self.set_buffer(pages);
     }
@@ -262,10 +267,13 @@ impl RTree {
     /// release builds.
     // lbq-check: cold — debug_assertions-only; absent from the release builds the zero-alloc proof measures
     #[inline]
+    #[cfg_attr(
+        debug_assertions,
+        expect(clippy::panic, reason = "debug-only invariant trap")
+    )]
     pub(crate) fn debug_validate(&self) {
         #[cfg(debug_assertions)]
         if let Err(e) = self.check_invariants() {
-            // lbq-check: allow(no-unwrap-core) — debug-only invariant trap
             panic!("R-tree invariant violated: {e}");
         }
     }

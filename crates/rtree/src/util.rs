@@ -6,10 +6,10 @@ use std::cmp::Ordering;
 /// Arena index of a node id. `u32 → usize` is lossless on every
 /// platform this crate supports (the arena itself could not be addressed
 /// otherwise); routing every hop through this helper keeps the
-/// `lossy-cast` lint meaningful at the remaining sites.
+/// narrowing-cast lints meaningful at the remaining sites.
 #[inline]
 pub(crate) fn idx(id: NodeId) -> usize {
-    // lbq-check: allow(lossy-cast) — u32 → usize is widening here
+    // u32 → usize is widening here
     id as usize
 }
 
@@ -18,8 +18,8 @@ pub(crate) fn idx(id: NodeId) -> usize {
 /// so overflow means a bug, and the conversion is checked exactly once —
 /// here.
 #[inline]
+#[expect(clippy::expect_used, reason = "arena cannot reach u32::MAX slots")]
 pub(crate) fn node_id(i: usize) -> NodeId {
-    // lbq-check: allow(no-unwrap-core) — arena cannot reach u32::MAX slots
     i.try_into().expect("node arena exceeded u32::MAX slots")
 }
 
@@ -88,6 +88,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "pins an exactly representable result")]
     fn usable_in_binary_heap() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;

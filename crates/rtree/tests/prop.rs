@@ -136,6 +136,7 @@ fn tp_knn_matches_brute_force() {
                     None
                 };
                 if let Some(t) = t {
+                    #[expect(clippy::float_cmp, reason = "exact time tie, broken by object id")]
                     if t <= t_max
                         && want.is_none_or(|(bt, bid)| t < bt || (t == bt && item.id < bid))
                     {

@@ -349,7 +349,10 @@ impl Engine {
             .drain(..)
             .map(|r| {
                 // Remaining hit zero, so every slot was filled by its worker.
-                // lbq-check: allow(no-unwrap-core) — AcqRel countdown proves every slot is Some
+                #[expect(
+                    clippy::expect_used,
+                    reason = "AcqRel countdown proves every slot is Some"
+                )]
                 r.expect("batch slot filled once remaining reaches zero")
             })
             .collect()

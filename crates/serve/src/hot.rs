@@ -3,7 +3,7 @@
 //!
 //! The on-line pipeline computes a kNN answer *and* its validity
 //! region — the order-k Voronoi cell of the result set — from scratch
-//! for every cache miss (~17.5 µs at paper scale, BENCH_PR5). Traffic
+//! for every cache miss (~17.5 µs at paper scale). Traffic
 //! is not uniform: the Hilbert-tile heatmap (PR 7) shows fleets
 //! concentrating in a handful of tiles. This module closes that loop:
 //! tiles whose always-on traffic counters cross a promotion threshold
@@ -464,7 +464,7 @@ mod tests {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            // lbq-check: allow(lossy-cast) -- test-only uniform sample
+            // Test-only uniform sample
             (rng >> 11) as f64 / (1u64 << 53) as f64
         };
         let items: Vec<Item> = (0..n)
@@ -575,7 +575,7 @@ mod tests {
         };
         let index = HotIndex::new(config, server.universe());
         for i in 0..16 {
-            // lbq-check: allow(lossy-cast) -- small loop index
+            // Small loop index
             let f = i as f64 / 16.0;
             let tile = index.tile_of(Point::new(f, f));
             index.probe(tile, &server);

@@ -73,6 +73,9 @@
 //! }
 //! ```
 
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod cache;
 mod engine;
 mod hot;

@@ -64,6 +64,10 @@ impl Pool {
             shutdown: AtomicBool::new(false),
             depth: lbq_obs::gauge("serve-queue-depth"),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time resource exhaustion; no query in flight"
+        )]
         let handles = (0..workers.max(1))
             .map(|w| {
                 let shared = Arc::clone(&shared);
@@ -72,7 +76,6 @@ impl Pool {
                     .spawn(move || worker_loop(&shared, w))
                     // Spawn failure at construction is unrecoverable
                     // resource exhaustion.
-                    // lbq-check: allow(no-unwrap-core) — construction-time resource exhaustion; no query in flight
                     .expect("spawning lbq-serve worker thread")
             })
             .collect();
@@ -88,7 +91,7 @@ impl Pool {
     pub(crate) fn push_all(&self, jobs: impl IntoIterator<Item = Job>) {
         let mut q = self.shared.lock();
         q.jobs.extend(jobs);
-        // lbq-check: allow(lossy-cast) — queue depth is far below i64::MAX
+        // Queue depth is far below i64::MAX
         self.shared.depth.set(q.jobs.len() as i64);
         drop(q);
         self.shared.available.notify_all();
@@ -108,7 +111,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
             let mut q = shared.lock();
             loop {
                 if let Some(job) = q.jobs.pop_front() {
-                    // lbq-check: allow(lossy-cast) — see push_all
+                    // See push_all
                     shared.depth.set(q.jobs.len() as i64);
                     break Some(job);
                 }

@@ -10,7 +10,10 @@
 //! flipped mid-run. One `#[test]` for the same reason: the phases must
 //! not race each other on that state.
 
-use lbq_check::json::{self, Value as Json};
+#[path = "../../obs/tests/support/json.rs"]
+mod json;
+
+use json::Value as Json;
 use lbq_core::LbqServer;
 use lbq_geom::{Point, Rect};
 use lbq_obs::{QueryKind, RecorderConfig};

@@ -313,6 +313,10 @@ impl Delaunay {
     }
 
     /// Walks from the hint triangle to one containing `p`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the super-triangle is always alive and spans the data"
+    )]
     fn locate(&self, p: Point) -> usize {
         let mut cur = if self.tris[self.hint].alive {
             self.hint
@@ -320,7 +324,6 @@ impl Delaunay {
             self.tris
                 .iter()
                 .position(|t| t.alive)
-                // lbq-check: allow(no-unwrap-core) — super-triangle always alive
                 .expect("triangulation never empty")
         };
         let limit = 4 * self.tris.len() + 16;
@@ -356,7 +359,6 @@ impl Delaunay {
                 orient(a, b, p) >= 0.0 && orient(b, c, p) >= 0.0 && orient(c, a, p) >= 0.0
             })
             .map(|(i, _)| i)
-            // lbq-check: allow(no-unwrap-core) — super-triangle spans the data
             .expect("point lies inside the super-triangle")
     }
 

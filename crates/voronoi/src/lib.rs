@@ -23,6 +23,9 @@
 //! result, so `lbq-core`'s TPNN-driven region construction is checked
 //! cell-for-cell against this crate.
 
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod delaunay;
 mod order_k;
 

@@ -101,7 +101,7 @@ fn degenerate_universe_edge_windows() {
         let resp = server.window_with_validity(c, 50_000.0, 50_000.0);
         assert!(resp.validity.inner_rect.xmin >= u.xmin - 1e-6);
         assert!(resp.validity.inner_rect.xmax <= u.xmax + 1e-6);
-        // lbq-check: allow(float-eq) — degenerate regions report an exact 0.0
+        // Degenerate regions report an exact 0.0
         assert!(resp.validity.contains(c) || resp.validity.area() == 0.0);
     }
 }
