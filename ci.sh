@@ -65,7 +65,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== release-build tests (serve stress, cold-path zero-allocation)"
 cargo test --release -q -p lbq-serve --test stress
 # Debug builds clone each region into an invariant trap, so only the
-# release run asserts retrieve_influence_set_in allocation-free.
+# release run asserts knn_region_in and retrieve_influence_set_in
+# allocation-free.
 cargo test --release -q -p lbq-core --test zero_alloc
 
 echo "== examples (text tracing + profile tables)"

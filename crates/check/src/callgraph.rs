@@ -24,11 +24,13 @@
 //!
 //! * **hot** — seeded by every `*_in` query entry point in the `rtree`
 //!   library code (the scratch-backed zero-steady-state-allocation
-//!   query API of PR 4) and by `// lbq-check: hot` annotations
-//!   (`retrieve_influence_set_in` in core — the one core entry point
-//!   under a runtime zero-alloc assertion; core's other `_in` fns build
-//!   owned responses and allocate by design — and the serve worker
-//!   loop). Consumed by `hot-alloc` and `guard-across-call`.
+//!   query API) and by `// lbq-check: hot` annotations
+//!   (`knn_region_in` in core — the serving path's region construction
+//!   — and `retrieve_influence_set_in`, the paper's TPNN chain kept as
+//!   the figures' construction and the differential oracle: the two core
+//!   entry points under a runtime zero-alloc assertion; core's other
+//!   `_in` fns build owned responses and allocate by design — and the
+//!   serve worker loop). Consumed by `hot-alloc` and `guard-across-call`.
 //! * **no-panic** — seeded by `// lbq-check: no-panic` annotations
 //!   only. Consumed by `hot-panic`.
 //!

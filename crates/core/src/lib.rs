@@ -57,8 +57,8 @@ pub mod region;
 pub mod window;
 
 pub use nn::{
-    retrieve_influence_set, retrieve_influence_set_in, InfluencePair, NnResponse, NnValidity,
-    NnValidityRef,
+    knn_region_in, retrieve_influence_set, retrieve_influence_set_in, InfluencePair, NnResponse,
+    NnValidity, NnValidityRef,
 };
 pub use region::{region_with_validity, RegionResponse, RegionValidity};
 pub use window::{window_with_validity, window_with_validity_in, WindowResponse, WindowValidity};
@@ -105,51 +105,33 @@ impl LbqServer {
     /// Location-based kNN (paper §3): result, influence set, validity
     /// region.
     ///
-    /// Step (i) runs a best-first kNN `[HS99]`; step (ii) the
-    /// TPNN-driven influence-set retrieval of Figs. 10/12; step (iii)
-    /// packages the response.
+    /// The result is a best-first kNN `[HS99]`; the region comes from
+    /// the nearest-first pass of [`nn::knn_region_in`], which builds the
+    /// same order-k cell as the paper's TPNN chain (Figs. 10/12,
+    /// [`retrieve_influence_set`]) from one candidate fetch.
     pub fn knn_with_validity(&self, q: Point, k: usize) -> NnResponse {
         let mut scratch = QueryScratch::new();
         self.knn_with_validity_in(q, k, &mut scratch)
     }
 
     /// [`LbqServer::knn_with_validity`] against a reusable
-    /// [`QueryScratch`]: the initial kNN and the whole TPNN chain of the
-    /// influence-set retrieval share one set of buffers. This is the
-    /// entry point `lbq-serve` workers use with their thread-owned
-    /// scratch.
+    /// [`QueryScratch`]: the candidate fetch and the region pass share
+    /// one set of buffers. This is the entry point `lbq-serve` workers
+    /// use with their thread-owned scratch. `tpnn_queries` reports the
+    /// outsiders the pass tested.
     pub fn knn_with_validity_in(
         &self,
         q: Point,
         k: usize,
         scratch: &mut QueryScratch,
     ) -> NnResponse {
-        let result: Vec<Item> = self
-            .tree
-            .knn_in(q, k, scratch)
-            .iter()
-            .map(|&(i, _)| i)
-            .collect();
-        if result.is_empty() {
-            return NnResponse {
-                query: q,
-                result,
-                validity: NnValidity {
-                    pairs: Vec::new(),
-                    polygon: lbq_geom::ConvexPolygon::from_rect(&self.universe),
-                    universe: self.universe,
-                },
-                tpnn_queries: 0,
-            };
-        }
-        let (validity, tpnn_queries) =
-            nn::retrieve_influence_set_in(&self.tree, q, &result, self.universe, scratch);
-        let validity = validity.to_owned();
+        let (result, validity, tested) =
+            nn::knn_region_in(&self.tree, q, k, self.universe, scratch);
         NnResponse {
             query: q,
-            result,
-            validity,
-            tpnn_queries,
+            result: result.to_vec(),
+            validity: validity.to_owned(),
+            tpnn_queries: tested,
         }
     }
 

@@ -15,7 +15,11 @@
 //! object — clip the region by its bisector — or (b) confirm the vertex.
 //! Lemma 3.1 (completeness/soundness) and Lemma 3.2 (exactly
 //! `n_inf + n_v` TPNN queries) carry over verbatim; both are asserted in
-//! the test suite.
+//! the test suite. The Section 6 figures count this chain.
+//!
+//! The serving path builds the same cell with [`knn_region_in`]: one
+//! nearest-first pass over the outsiders, clipping by every bisector
+//! that cuts the region, up to a proven stop radius (DESIGN §3).
 
 use lbq_geom::{ConvexPolygon, HalfPlane, Point, Rect};
 use lbq_rtree::{Item, QueryScratch, RTree};
@@ -107,10 +111,10 @@ impl NnValidity {
 /// A borrowed view of a validity region whose backing storage lives in
 /// a [`QueryScratch`].
 ///
-/// This is what [`retrieve_influence_set_in`] returns: the influence
-/// pairs and the region polygon are read straight out of the scratch
-/// buffers the retrieval built them in, so the steady-state hot path
-/// performs **zero** heap allocations. The view stays valid until the
+/// This is what [`knn_region_in`] and [`retrieve_influence_set_in`]
+/// return: the influence pairs and the region polygon are read straight
+/// out of the scratch buffers the construction built them in, so the
+/// steady-state hot path performs **zero** heap allocations. The view stays valid until the
 /// next query touches the same scratch; call
 /// [`NnValidityRef::to_owned`] to detach an [`NnValidity`] that can
 /// outlive it (that copy is the only allocation, paid exactly by the
@@ -196,7 +200,9 @@ pub struct NnResponse {
     pub result: Vec<Item>,
     /// Validity region + influence set.
     pub validity: NnValidity,
-    /// Instrumentation: TPNN queries issued (Lemma 3.2: `n_inf + n_v`).
+    /// Instrumentation: the outsiders [`knn_region_in`] tested (the
+    /// paper's chain would report its TPNN queries, `n_inf + n_v` by
+    /// Lemma 3.2).
     pub tpnn_queries: usize,
 }
 
@@ -375,6 +381,175 @@ pub fn retrieve_influence_set_in<'s>(
         span.record("area", validity.area());
     }
     (validity, tpnn_count)
+}
+
+/// Outsiders fetched past the result on the first candidate pass of
+/// [`knn_region_in`]; the fetch doubles when the stop radius outruns
+/// it. On uniform data the pass tests ~8 outsiders at k = 10 (p99 20)
+/// and ~15 at k = 1 (p99 36), falling as k grows.
+const FIRST_FETCH: usize = 24;
+
+/// Location-based kNN in one nearest-first pass: the k nearest
+/// neighbours of `q` plus their validity region, built without the
+/// TPNN chain. This is the serving path's construction (DESIGN §3).
+///
+/// Starting from P = `universe`, the non-result items o are visited in
+/// ascending `(dist(q, o), id)` order. For each result point i whose
+/// bisector with o leaves some vertex of P strictly on o's side, P is
+/// clipped by that bisector and `(i, o)` recorded. The pass stops at
+/// the first o with `|qo| > B(P) = max_v (|qv| + max_i |vi|)`: then
+/// `|vo| ≥ |qo| − |qv| > max_i |vi|` at every vertex, so by convexity
+/// no later outsider can cut P. Only the pairs whose bisector carries
+/// an edge of the final P are kept, so the influence set stays
+/// minimal. An outsider at a result point's position leaves no vertex
+/// strictly closer to it and is skipped, so no bisector of two equal
+/// points is ever built.
+///
+/// The candidates are one [`RTree::knn_in`] past the k-th neighbour,
+/// whose first k items are the result. Returns the result, the region
+/// (both borrowing `scratch`) and the number of outsiders tested.
+// lbq-check: hot — static twin of the `tests/zero_alloc.rs` assertion on this entry point
+pub fn knn_region_in<'s>(
+    tree: &RTree,
+    q: Point,
+    k: usize,
+    universe: Rect,
+    scratch: &'s mut QueryScratch,
+) -> (&'s [Item], NnValidityRef<'s>, usize) {
+    let mut span = lbq_obs::span("nn-region");
+    span.record("k", k);
+    let eps = vertex_eps(&universe);
+    let mut inner = std::mem::take(&mut scratch.region_inner);
+    let mut pairs = std::mem::take(&mut scratch.region_pairs);
+    let mut polygon = std::mem::take(&mut scratch.region_polygon);
+    let mut reach = std::mem::take(&mut scratch.region_reach);
+    let mut clip_buf = std::mem::take(&mut scratch.region_clip);
+    inner.clear();
+    pairs.clear();
+    polygon.assign_rect(&universe);
+    let mut bound = f64::INFINITY;
+    let mut tested = 0usize;
+    let mut fetch = FIRST_FETCH;
+    loop {
+        let near = tree.knn_in(q, k.saturating_add(fetch), scratch);
+        if inner.is_empty() {
+            inner.extend(near.iter().take(k).map(|&(i, _)| i));
+            if inner.is_empty() {
+                break; // k = 0 or an empty tree: the universe, no pairs
+            }
+            bound = refresh_reach(q, &polygon, &inner, &mut reach);
+        }
+        let _stage = lbq_obs::stage_timer(lbq_obs::Stage::TpnnChain);
+        let mut stopped = false;
+        for &(o, d) in near.iter().skip(k + tested) {
+            if d > bound + eps {
+                stopped = true;
+                break;
+            }
+            tested += 1;
+            if !polygon
+                .vertices()
+                .iter()
+                .zip(&reach)
+                .any(|(v, &r2)| v.dist_sq(o.point) < r2)
+            {
+                continue;
+            }
+            // i cuts only if |qi| > |vo| − |qv| at some vertex v, and the
+            // result is sorted by distance from q: walk it from the far
+            // end and stop at the first point inside that floor.
+            let mut floor = cut_floor(q, o.point, &polygon);
+            let mut clipped = false;
+            for &i in inner.iter().rev() {
+                if q.dist(i.point) + eps < floor || polygon.is_empty() {
+                    break;
+                }
+                let cuts = polygon
+                    .vertices()
+                    .iter()
+                    .any(|v| v.dist_sq(o.point) < v.dist_sq(i.point));
+                if cuts {
+                    polygon.clip_in_place(&HalfPlane::bisector(i.point, o.point), &mut clip_buf);
+                    pairs.push((i, o));
+                    floor = cut_floor(q, o.point, &polygon);
+                    clipped = true;
+                }
+            }
+            if polygon.is_empty() {
+                // Degenerate tie: the closed cell has zero area.
+                stopped = true;
+                break;
+            }
+            if clipped {
+                bound = refresh_reach(q, &polygon, &inner, &mut reach);
+            }
+        }
+        if stopped || near.len() < k.saturating_add(fetch) {
+            break;
+        }
+        fetch = fetch.saturating_mul(2);
+    }
+    // Keep the pairs whose bisector carries an edge of P. (An empty P
+    // keeps them all: they are then the whole description of the
+    // degenerate region.)
+    let _stage = lbq_obs::stage_timer(lbq_obs::Stage::TpnnChain);
+    let ring = polygon.vertices();
+    if !ring.is_empty() {
+        let on = |h: &HalfPlane, v: Point| h.signed_dist(v).abs() <= eps;
+        pairs.retain(|&(i, o)| {
+            let h = HalfPlane::bisector(i.point, o.point);
+            ring.iter()
+                .zip(ring.iter().cycle().skip(1))
+                .any(|(&a, &b)| on(&h, a) && on(&h, b))
+        });
+    }
+    reach.clear();
+    clip_buf.clear();
+    scratch.region_inner = inner;
+    scratch.region_pairs = pairs;
+    scratch.region_polygon = polygon;
+    scratch.region_reach = reach;
+    scratch.region_clip = clip_buf;
+    let scratch: &'s QueryScratch = scratch;
+    let validity = NnValidityRef {
+        pairs: &scratch.region_pairs,
+        polygon: &scratch.region_polygon,
+        universe,
+    };
+    crate::invariants::debug_validate_nn(&validity, q);
+    if span.is_active() {
+        span.record("outsiders-tested", tested);
+        span.record("pairs", validity.pair_count());
+        span.record("edges", validity.edge_count());
+        span.record("area", validity.area());
+    }
+    (&scratch.region_inner, validity, tested)
+}
+
+/// `min_v (|vo| − |qv|)` over the vertices of `polygon`: no result
+/// point closer to `q` than this can put a vertex on `o`'s side.
+fn cut_floor(q: Point, o: Point, polygon: &ConvexPolygon) -> f64 {
+    polygon
+        .vertices()
+        .iter()
+        .map(|v| v.dist(o) - v.dist(q))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Fills `reach` with `max_i |v − i|²` per vertex of `polygon` and
+/// returns the stop radius `B(P) = max_v (|qv| + max_i |vi|)`.
+fn refresh_reach(q: Point, polygon: &ConvexPolygon, inner: &[Item], reach: &mut Vec<f64>) -> f64 {
+    reach.clear();
+    let mut bound = 0.0f64;
+    for &v in polygon.vertices() {
+        let r2 = inner
+            .iter()
+            .map(|i| v.dist_sq(i.point))
+            .fold(0.0f64, f64::max);
+        reach.push(r2);
+        bound = bound.max(q.dist(v) + r2.sqrt());
+    }
+    bound
 }
 
 #[cfg(test)]

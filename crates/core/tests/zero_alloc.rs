@@ -1,7 +1,9 @@
 //! Steady-state zero allocation of the cold-path kernels: once one
 //! [`QueryScratch`] is warm on the exact call shapes, `RTree::knn_in`,
-//! `RTree::tp_nn_in`, `RTree::window_in`, `RTree::tp_window_in` and
-//! `retrieve_influence_set_in` never touch the heap. The runtime twin of the `hot` annotations `lbq-check` verifies
+//! `RTree::tp_nn_in`, `RTree::window_in`, `RTree::tp_window_in`,
+//! `knn_region_in` (the serving path's region construction) and
+//! `retrieve_influence_set_in` (the paper's TPNN chain) never touch the
+//! heap. The runtime twin of the `hot` annotations `lbq-check` verifies
 //! statically.
 //!
 //! Counts come from the allocator shim shared with `lbq-obs`'s
@@ -12,7 +14,7 @@
 mod counting_alloc;
 
 use counting_alloc::allocations;
-use lbq_core::retrieve_influence_set_in;
+use lbq_core::{knn_region_in, retrieve_influence_set_in};
 use lbq_geom::{Point, Rect, Vec2};
 use lbq_rtree::{Item, QueryScratch, RTree, RTreeConfig};
 use std::hint::black_box;
@@ -93,5 +95,16 @@ fn warm_scratch_kernels_allocate_nothing() {
     // `--release`, where the trap is compiled out.
     if !cfg!(debug_assertions) {
         assert_eq!(region_allocs, 0, "retrieve_influence_set_in");
+    }
+
+    // The serving path's nearest-first pass: candidate fetch, result,
+    // pair list and polygon all on the scratch.
+    let mut pass = |j: usize| {
+        black_box(knn_region_in(&tree, foci[j], K, universe, &mut scratch).2);
+    };
+    allocs_over(QUERIES, &mut pass);
+    let pass_allocs = allocs_over(200, &mut pass);
+    if !cfg!(debug_assertions) {
+        assert_eq!(pass_allocs, 0, "knn_region_in");
     }
 }

@@ -41,9 +41,14 @@ pub enum Stage {
     /// path produces it any more (cold kNN misses take the per-query
     /// kernel); it stays because the benchmark's layer report reads it.
     GroupKnn = 2,
-    /// TPNN influence-set chain (`lbq-rtree`).
+    /// kNN validity-region construction: on the serving path, `lbq-core`'s
+    /// nearest-first pass after its candidate fetch (clipping included);
+    /// in the paper's TPNN chain, each TPNN probe (`lbq-rtree`). The name
+    /// stays because the wire format and the benchmark read the slot.
     TpnnChain = 3,
-    /// Half-plane clipping of the validity polygon (`lbq-core`).
+    /// Half-plane clipping of the validity polygon (`lbq-core`) — the
+    /// TPNN chain's clips; the serving path's pass counts its clips
+    /// under [`Stage::TpnnChain`].
     Clip = 4,
     /// Window query + validity-region construction (`lbq-core`).
     WindowPass = 5,

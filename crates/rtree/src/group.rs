@@ -73,14 +73,13 @@ impl RTree {
     ) -> &'s [(Item, f64)] {
         let _stage = lbq_obs::stage_timer(lbq_obs::Stage::GroupKnn);
         let mut span = lbq_obs::span("rtree-knn-group");
-        let before = self.stats();
         let mut probe = QueryProbe::default();
         let shared = self.knn_group_probed(queries, k, scratch, &mut probe);
         span.record("queries", queries.len());
         span.record("k", k);
         span.record("shared", shared);
         span.record("results", scratch.out_nn.len());
-        self.finish_query_span(&mut span, &probe, before);
+        self.finish_query_span(&mut span, &probe);
         &scratch.out_nn
     }
 
@@ -135,7 +134,7 @@ impl RTree {
                 if lb > max_worst {
                     break;
                 }
-                self.access(node_id);
+                self.access(node_id, probe);
                 let node = self.node(node_id);
                 probe.visit(node.level);
                 if node.is_leaf() {

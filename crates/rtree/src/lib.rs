@@ -69,7 +69,6 @@
     )
 )]
 
-mod browse;
 mod bulk;
 mod group;
 pub mod hilbert;
@@ -85,7 +84,6 @@ mod tpwin;
 mod tree;
 mod util;
 
-pub use browse::NearestIter;
 pub use bulk::DEFAULT_BULK_FILL;
 pub use node::{Item, NodeId};
 pub use scratch::QueryScratch;

@@ -48,12 +48,11 @@ impl RTree {
     ) -> &'s [(Item, f64)] {
         let _stage = lbq_obs::stage_timer(lbq_obs::Stage::TreeKnn);
         let mut span = lbq_obs::span("rtree-knn");
-        let before = self.stats();
         let mut probe = QueryProbe::default();
         self.knn_probed(q, k, scratch, &mut probe);
         span.record("k", k);
         span.record("results", scratch.out_nn.len());
-        self.finish_query_span(&mut span, &probe, before);
+        self.finish_query_span(&mut span, &probe);
         &scratch.out_nn
     }
 
@@ -96,7 +95,7 @@ impl RTree {
             if cands.full() && lb > cands.worst() {
                 break; // no unexplored node can improve the result
             }
-            self.access(node_id);
+            self.access(node_id, probe);
             let node = self.node(node_id);
             probe.visit(node.level);
             if node.is_leaf() {
@@ -132,12 +131,11 @@ impl RTree {
         scratch: &'s mut QueryScratch,
     ) -> &'s [(Item, f64)] {
         let mut span = lbq_obs::span("rtree-knn-df");
-        let before = self.stats();
         let mut probe = QueryProbe::default();
         self.knn_depth_first_probed(q, k, scratch, &mut probe);
         span.record("k", k);
         span.record("results", scratch.out_nn.len());
-        self.finish_query_span(&mut span, &probe, before);
+        self.finish_query_span(&mut span, &probe);
         &scratch.out_nn
     }
 
@@ -171,7 +169,7 @@ impl RTree {
                 continue;
             }
             probe.pop();
-            self.access(node_id);
+            self.access(node_id, probe);
             let node = self.node(node_id);
             probe.visit(node.level);
             if node.is_leaf() {

@@ -28,7 +28,6 @@ impl RTree {
     /// until its next use.
     pub fn window_in<'s>(&self, q: &Rect, scratch: &'s mut QueryScratch) -> &'s [Item] {
         let mut span = lbq_obs::span("rtree-window");
-        let before = self.stats();
         let mut probe = QueryProbe::default();
         scratch.out_items.clear();
         let stack = &mut scratch.stack;
@@ -36,7 +35,7 @@ impl RTree {
         stack.push(self.root);
         while let Some(node_id) = stack.pop() {
             probe.pop();
-            self.access(node_id);
+            self.access(node_id, &mut probe);
             let node = self.node(node_id);
             probe.visit(node.level);
             if node.is_leaf() {
@@ -53,7 +52,7 @@ impl RTree {
             }
         }
         span.record("results", scratch.out_items.len());
-        self.finish_query_span(&mut span, &probe, before);
+        self.finish_query_span(&mut span, &probe);
         &scratch.out_items
     }
 }

@@ -158,6 +158,13 @@ pub struct QueryScratch {
     /// Region polygon backing the same borrowed validity-region view.
     /// Retains vertex capacity across queries.
     pub region_polygon: ConvexPolygon,
+    /// The kNN result backing `lbq-core`'s nearest-first region
+    /// construction (the first k of its candidate fetch).
+    pub region_inner: Vec<Item>,
+    /// Per-vertex reach `max_i |v − i|²` over the result, parallel to
+    /// [`QueryScratch::region_polygon`]'s vertices, for the same
+    /// construction.
+    pub region_reach: Vec<f64>,
     /// Per-query candidate arrays for the shared-frontier group kNN
     /// ([`crate::RTree::knn_group_in`]): slot `i` collects the best k of
     /// query `i` in the tile. Grows to the largest tile seen.

@@ -144,12 +144,11 @@ impl RTree {
     ) -> Option<TpEvent> {
         let _stage = lbq_obs::stage_timer(lbq_obs::Stage::TpnnChain);
         let mut span = lbq_obs::span("rtree-tpnn");
-        let before = self.stats();
         let mut probe = QueryProbe::default();
         let out = self.tp_knn_probed(q, dir, t_max, inner, bound, scratch, &mut probe);
         span.record("inner", inner.len());
         span.record("found", out.is_some());
-        self.finish_query_span(&mut span, &probe, before);
+        self.finish_query_span(&mut span, &probe);
         out
     }
 
@@ -224,7 +223,7 @@ impl RTree {
         if wide {
             let mut dive = self.root;
             loop {
-                self.access(dive);
+                self.access(dive, probe);
                 let node = self.node(dive);
                 probe.visit(node.level);
                 if node.is_leaf() {
@@ -266,7 +265,7 @@ impl RTree {
             if lb > horizon {
                 break;
             }
-            self.access(node_id);
+            self.access(node_id, probe);
             let node = self.node(node_id);
             probe.visit(node.level);
             if node.is_leaf() {

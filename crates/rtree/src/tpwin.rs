@@ -77,12 +77,11 @@ impl RTree {
         scratch: &mut QueryScratch,
     ) -> Option<TpWindowEvent> {
         let mut span = lbq_obs::span("rtree-tp-window");
-        let before = self.stats();
         let mut probe = QueryProbe::default();
         let out = self.tp_window_probed(c, dir, t_max, hx, hy, result, scratch, &mut probe);
         span.record("result-size", result.len());
         span.record("found", out.is_some());
-        self.finish_query_span(&mut span, &probe, before);
+        self.finish_query_span(&mut span, &probe);
         out
     }
 
@@ -143,7 +142,7 @@ impl RTree {
             if lb > horizon {
                 break;
             }
-            self.access(node_id);
+            self.access(node_id, probe);
             let node = self.node(node_id);
             probe.visit(node.level);
             if node.is_leaf() {

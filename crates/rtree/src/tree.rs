@@ -1,6 +1,7 @@
 //! The tree handle: arena storage, metering, and structural invariants.
 
 use crate::node::{Item, Node, NodeId};
+use crate::probe::QueryProbe;
 use crate::stats::{LruBuffer, Stats, StatsCell};
 use crate::util::{idx, node_id};
 use crate::RTreeConfig;
@@ -131,11 +132,12 @@ impl RTree {
     /// inside it, inner scopes see only their own slice, and concurrent
     /// users of [`RTree::stats`] are undisturbed.
     ///
-    /// The meter is tree-global: when other threads query the same tree
-    /// concurrently, the delta includes their accesses too. For
-    /// per-query attribution under concurrency, scope aggregate deltas
-    /// around a whole parallel batch and divide (what `lbq-serve`'s
-    /// bench does), or measure single-threaded.
+    /// Each query flushes its own NA/PA into the meter before it
+    /// returns, but the meter is tree-global: when other threads query
+    /// the same tree concurrently, the delta includes their accesses
+    /// too. For per-query attribution under concurrency, scope
+    /// aggregate deltas around a whole parallel batch and divide, read
+    /// the per-query `na`/`pa` span fields, or measure single-threaded.
     ///
     /// ```
     /// # use lbq_rtree::{RTree, RTreeConfig, Item};
@@ -162,14 +164,15 @@ impl RTree {
         self.buffered.load(Ordering::Acquire)
     }
 
-    /// Registers a read of `node` with the meter and the buffer.
+    /// Registers a read of `node` with the query's probe and the buffer.
     ///
-    /// The unbuffered path (the serving configuration) is lock-free:
-    /// two relaxed atomic increments. Only an attached LRU buffer — a
+    /// The unbuffered path (the serving configuration) touches no shared
+    /// state: two local increments, flushed once per query by
+    /// [`RTree::finish_query_span`]. Only an attached LRU buffer — a
     /// sequential disk-model simulation by nature — takes the lock.
     #[inline]
-    pub(crate) fn access(&self, node: NodeId) {
-        self.stats.node_accesses.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn access(&self, node: NodeId, probe: &mut QueryProbe) {
+        probe.na += 1;
         // A stale read only mis-buckets one access — the None arm below
         // absorbs the race with clear_buffer — while an Acquire here
         // would tax every query.
@@ -183,7 +186,7 @@ impl RTree {
             true // unbuffered: every access is a page read
         };
         if faulted {
-            self.stats.page_faults.fetch_add(1, Ordering::Relaxed);
+            probe.pa += 1;
         }
     }
 
@@ -374,29 +377,43 @@ mod tests {
                 i,
             ));
         }
+        let query =
+            |w: u64, i: u64| Point::new((w * 13 + i) as f64 % 100.0, (i * 7) as f64 % 100.0);
+        // Each query's own NA, measured alone.
+        let mut per_query = 0u64;
+        for w in 0..4 {
+            for i in 0..50 {
+                per_query += t.with_stats(|t| t.knn(query(w, i), 3)).1.node_accesses;
+            }
+        }
         let t = std::sync::Arc::new(t);
         let before = t.stats();
+        let na = na_counter_value();
         let handles: Vec<_> = (0..4)
             .map(|w| {
                 let t = std::sync::Arc::clone(&t);
                 std::thread::spawn(move || {
-                    let mut per_thread = 0u64;
                     for i in 0..50 {
-                        let q = Point::new((w * 13 + i) as f64 % 100.0, (i * 7) as f64 % 100.0);
-                        let (_, s) = t.with_stats(|t| t.knn(q, 3));
-                        per_thread += s.node_accesses;
+                        t.knn(query(w, i), 3);
                     }
-                    per_thread
                 })
             })
             .collect();
-        let _ = handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>();
+        for h in handles {
+            h.join().unwrap();
+        }
         let delta = t.stats().delta_since(before);
-        // Relaxed increments lose nothing: the global meter advanced.
-        // (Per-thread with_stats deltas overlap under concurrency, so
-        // only the global total is asserted.)
-        assert!(delta.node_accesses > 0);
-        assert_eq!(delta.node_accesses, delta.page_faults); // unbuffered
+        // Each query flushes exactly its own count, so four threads add
+        // up to the single-threaded sum.
+        assert_eq!(delta.node_accesses, per_query);
+        assert_eq!(delta.page_faults, per_query); // unbuffered
+                                                  // The obs counter is process-global and the other tests of this
+                                                  // binary feed it too; tests/meter.rs checks it for equality.
+        assert!(na_counter_value() - na >= per_query);
+    }
+
+    fn na_counter_value() -> u64 {
+        lbq_obs::counter("rtree-node-accesses").get()
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   lock stops being the bottleneck at high worker counts;
 //! * **spatial locality per worker** — consecutive queries of a tile
 //!   are Hilbert-adjacent, so a tile's cache-miss queries descend the
-//!   same subtrees and its validity-region TPNN chains re-touch warm
+//!   same subtrees and its validity-region passes re-touch warm
 //!   nodes.
 //!
 //! Inside a tile every query is answered on its own, in Hilbert order:

@@ -214,7 +214,8 @@ pub struct QueryResp {
     /// worker scheduling, and recording on/off.
     pub query_id: u64,
     /// Per-stage breakdown of where this query's time went (hot and
-    /// cache lookup, tree kNN, TPNN chain, clip, window pass), timed
+    /// cache lookup, tree kNN, kNN region construction, clip, window
+    /// pass), timed
     /// inside the `latency_ns` window. All zeros unless recording is
     /// on ([`lbq_obs::init_recorder`]).
     pub stages: lbq_obs::StageNanos,
@@ -231,8 +232,8 @@ pub fn answer_on(server: &LbqServer, req: &QueryReq) -> QueryAnswer {
 }
 
 /// [`answer_on`] against a reusable [`QueryScratch`]: the engine's miss
-/// path. Every query type — the kNN plus its whole TPNN influence-set
-/// chain, or both window passes — runs on the caller's buffers, so a
+/// path. Every query type — the kNN plus its nearest-first region
+/// pass, or both window passes — runs on the caller's buffers, so a
 /// worker thread reusing one scratch serves steady-state misses without
 /// allocating query state.
 pub fn answer_on_with(

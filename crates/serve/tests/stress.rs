@@ -307,3 +307,51 @@ fn engine_under_cache_still_matches_sequential_result_sets() {
     let stats = engine.cache().stats();
     assert_eq!(stats.hits as usize, hits);
 }
+
+/// Sites on the lattice `(i + off, j + off)`, `i, j < side`, ids row-major.
+fn lattice(side: usize, off: f64) -> Vec<lbq_rtree::Item> {
+    (0..side * side)
+        .map(|n| {
+            let (i, j) = (n / side, n % side);
+            lbq_rtree::Item::new(Point::new(i as f64 + off, j as f64 + off), n as u64)
+        })
+        .collect()
+}
+
+/// The kNN answer of a one-request batch on a default engine.
+fn served_knn(server: LbqServer, q: Point, k: usize) -> lbq_core::NnResponse {
+    let engine = Engine::new(Arc::new(server), EngineConfig::default());
+    let resp = engine.submit(vec![QueryReq::knn(q, k)]).remove(0);
+    match &*resp.answer {
+        QueryAnswer::Knn(nn) => nn.clone(),
+        QueryAnswer::Window(_) => panic!("kNN request got a window answer"),
+    }
+}
+
+#[test]
+fn engine_serves_coincident_and_tied_sites_their_closed_cells() {
+    // A repeated site is an outsider at the result's position: no panic,
+    // and the region is the unit cell of the smaller id.
+    let mut items = lattice(100, 0.0);
+    items.push(lbq_rtree::Item::new(Point::new(50.0, 50.0), 10_000));
+    let universe = Rect::new(0.0, 0.0, 100.0, 100.0);
+    let nn = served_knn(
+        LbqServer::from_items(items, universe),
+        Point::new(50.2, 50.4),
+        1,
+    );
+    assert_eq!(nn.result[0].id, 5050);
+    assert_eq!(nn.validity.pairs.len(), 4);
+    assert!((nn.validity.area() - 1.0).abs() < 1e-9);
+
+    // A focus on a bisector: the tie goes to the smaller id, whose
+    // closed cell has area 1 (not the 640 the TPNN chain reports).
+    let universe = Rect::new(0.0, 0.0, 64.0, 64.0);
+    let nn = served_knn(
+        LbqServer::from_items(lattice(64, 0.5), universe),
+        Point::new(10.0, 10.5),
+        1,
+    );
+    assert_eq!(nn.result[0].point, Point::new(9.5, 10.5));
+    assert!((nn.validity.area() - 1.0).abs() < 1e-9);
+}

@@ -52,7 +52,7 @@ fn main() {
         resp.validity.influence_count()
     );
     println!(
-        "(the server issued {} TPNN queries to build it)",
+        "(the server tested {} nearby objects to build it)",
         resp.tpnn_queries
     );
 
@@ -96,7 +96,7 @@ fn main() {
             "influence objects".to_string(),
             resp.validity.influence_count().to_string(),
         ])
-        .row(&["tpnn queries".to_string(), resp.tpnn_queries.to_string()])
+        .row(&["objects tested".to_string(), resp.tpnn_queries.to_string()])
         .row(&[
             "free local checks".to_string(),
             (revalidations - 1).to_string(),
