@@ -69,6 +69,16 @@ cargo test --release -q -p lbq-serve --test stress
 # allocation-free.
 cargo test --release -q -p lbq-core --test zero_alloc
 
+echo "== experiments --all --quick (Section 6 figures pinned byte for byte)"
+# Every figure's NA/PA, area and count at quick scale. The output is
+# deterministic; a change that moves a figure regenerates
+# experiments_quick.txt and says why in CHANGES.md.
+cargo run --release -q -p lbq-bench --bin experiments -- --all --quick 2>/dev/null \
+    | diff -u experiments_quick.txt - || {
+    echo "ci: experiments --all --quick differs from experiments_quick.txt" >&2
+    exit 1
+}
+
 echo "== examples (text tracing + profile tables)"
 for ex in quickstart moving_client city_window geofence_region; do
     out="$(LBQ_TRACE=text cargo run --release -q -p lbq-core --example "$ex" 2>/dev/null)"

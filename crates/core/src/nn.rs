@@ -207,8 +207,10 @@ pub struct NnResponse {
 }
 
 /// Tolerance for vertex identity across clips, relative to the universe
-/// scale.
-fn vertex_eps(universe: &Rect) -> f64 {
+/// scale. It also bounds how far a region's exact locus (its pair
+/// tests) can stray from its clipped polygon, which is what lets
+/// `lbq-serve` reject a cache probe on the polygon's padded box.
+pub fn vertex_eps(universe: &Rect) -> f64 {
     lbq_geom::EPS * universe.width().max(universe.height()).max(1.0)
 }
 

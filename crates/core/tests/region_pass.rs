@@ -8,15 +8,11 @@
 //!   constructions disagree on carries an edge shorter than the vertex
 //!   tolerance (a numerically vanishing side of the cell).
 
+use lbq_core::nn::vertex_eps;
 use lbq_core::{knn_region_in, retrieve_influence_set, LbqServer, NnValidity};
 use lbq_geom::{ConvexPolygon, HalfPlane, Point, Rect};
 use lbq_rng::Xoshiro256ss;
 use lbq_rtree::{Item, QueryScratch, RTree, RTreeConfig};
-
-/// The tolerance both constructions use for vertex identity.
-fn vertex_eps(universe: &Rect) -> f64 {
-    lbq_geom::EPS * universe.width().max(universe.height()).max(1.0)
-}
 
 /// One region from the nearest-first pass, detached from the scratch.
 fn pass(

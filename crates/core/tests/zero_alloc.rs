@@ -26,6 +26,11 @@ const T_MAX: f64 = 0.25;
 const H: f64 = 0.01;
 
 /// Allocations the calling thread makes across `iters` calls of `f`.
+///
+/// Every kernel is warmed over all `QUERIES` foci before it is measured:
+/// a buffer shared between kernels (the best-first frontier, say) must
+/// reach each kernel's own high-water mark, not ride on whatever an
+/// earlier kernel happened to grow it to.
 fn allocs_over(iters: usize, mut f: impl FnMut(usize)) -> u64 {
     let before = allocations();
     for i in 0..iters {
@@ -58,13 +63,13 @@ fn warm_scratch_kernels_allocate_nothing() {
     let mut knn = |j: usize| {
         black_box(tree.knn_in(foci[j], K, &mut scratch).len());
     };
-    allocs_over(32, &mut knn);
+    allocs_over(QUERIES, &mut knn);
     assert_eq!(allocs_over(200, &mut knn), 0, "knn_in");
 
     let mut tpnn = |j: usize| {
         black_box(tree.tp_nn_in(foci[j], dirs[j], T_MAX, inners[j], &mut scratch));
     };
-    allocs_over(32, &mut tpnn);
+    allocs_over(QUERIES, &mut tpnn);
     assert_eq!(allocs_over(200, &mut tpnn), 0, "tp_nn_in");
 
     let window_of = |c: Point| Rect::new(c.x - H, c.y - H, c.x + H, c.y + H);
@@ -72,14 +77,14 @@ fn warm_scratch_kernels_allocate_nothing() {
     let mut window = |j: usize| {
         black_box(tree.window_in(&window_of(foci[j]), &mut scratch).len());
     };
-    allocs_over(32, &mut window);
+    allocs_over(QUERIES, &mut window);
     assert_eq!(allocs_over(200, &mut window), 0, "window_in");
 
     let mut tp_window = |j: usize| {
         let (c, d) = (foci[j], dirs[j]);
         black_box(tree.tp_window_in(c, d, T_MAX, H, H, &results[j], &mut scratch));
     };
-    allocs_over(32, &mut tp_window);
+    allocs_over(QUERIES, &mut tp_window);
     assert_eq!(allocs_over(200, &mut tp_window), 0, "tp_window_in");
 
     // The whole region retrieval (TPNN chain + pair list + polygon

@@ -4,7 +4,8 @@
 //!
 //! * [`RTree::knn`] / [`RTree::knn_in`] — the best-first (incremental)
 //!   traversal of Hjaltason and Samet `[HS99]`, which is I/O-optimal: it
-//!   visits exactly the nodes whose MBR intersects the final k-NN disk.
+//!   visits exactly the nodes whose MBR intersects the final k-NN disk
+//!   (pinned by `tests/knn_optimality.rs`).
 //! * [`RTree::knn_depth_first`] / [`RTree::knn_depth_first_in`] — the
 //!   branch-and-bound of Roussopoulos, Kelley and Vincent `[RKV95]`:
 //!   depth-first descent visiting entries in `mindist` order, pruning
@@ -17,7 +18,7 @@
 //! The `_in` variants run against a caller-owned [`QueryScratch`] and
 //! allocate nothing once the scratch buffers are warm; the plain
 //! variants delegate to them with a fresh scratch and copy the result
-//! out. Candidates live in a bounded sorted array keyed by slot (see
+//! out. Candidates live in an array keyed by slot (see
 //! [`crate::QueryScratch`]), so items sharing a user-supplied id are
 //! all reported rather than collapsing to one.
 
@@ -73,7 +74,21 @@ impl RTree {
     /// The best-first kNN loop against caller-chosen buffers. Shared by
     /// the single-query path above and the per-query fallback of the
     /// group search ([`RTree::knn_group_in`]), so both produce the same
-    /// candidates by construction.
+    /// candidates by construction. Leaves `cands` holding the best k in
+    /// ascending `(dist², id)` order.
+    ///
+    /// It visits exactly the nodes `[HS99]` visits, in the same order,
+    /// but pushes and scans less (DESIGN §3, "The best-first kNN
+    /// kernel"):
+    /// * `thresh` bounds the final k-th squared distance from above: the
+    ///   exact k-th of the candidates once k are held, and while fewer
+    ///   are, the smallest `maxdist²` over the children of an expanded
+    ///   node whose every child subtree holds at least k points (the
+    ///   R\* minimum fill). Children beyond it are never pushed.
+    /// * Leaf scans append the items within `thresh` unordered; before
+    ///   each pop's prune test the set is compacted to its best k, which
+    ///   makes the k-th distance exact where it decides anything.
+    /// * One sort at the end restores the output order.
     pub(crate) fn knn_core(
         &self,
         q: Point,
@@ -82,17 +97,26 @@ impl RTree {
         cands: &mut crate::scratch::CandidateSet,
         probe: &mut QueryProbe,
     ) {
-        // Min-heap of (mindist², node) and the bounded best-k array.
         queue.clear();
         cands.reset(k);
         queue.push(Reverse((OrdF64::new(0.0), self.root)));
+        // The exact k-th distance of the candidates (+∞ while fewer than
+        // k), valid whenever `fresh` is false.
+        let mut kth = f64::INFINITY;
+        let mut thresh = f64::INFINITY;
+        let mut fresh = false;
 
         while let Some(Reverse((OrdF64(lb), node_id))) = queue.pop() {
             probe.pop();
+            if fresh {
+                kth = cands.compact();
+                thresh = thresh.min(kth);
+                fresh = false;
+            }
             // Strict comparison: a node at exactly the k-th distance may
             // still hold an id-tie-break winner (see CandidateSet), so
             // only nodes strictly beyond the k-th distance are pruned.
-            if cands.full() && lb > cands.worst() {
+            if lb > kth {
                 break; // no unexplored node can improve the result
             }
             self.access(node_id, probe);
@@ -100,17 +124,45 @@ impl RTree {
             probe.visit(node.level);
             if node.is_leaf() {
                 for &item in &node.items {
-                    cands.consider(q.dist_sq(item.point), item);
+                    let d = q.dist_sq(item.point);
+                    if d <= thresh {
+                        cands.push(d, item);
+                        fresh = true;
+                    }
                 }
             } else {
+                if !cands.full() && self.children_hold(node.level, k) {
+                    // Each child subtree holds ≥ k points, all within
+                    // its maxdist of q: the k-th distance is at most the
+                    // smallest child maxdist.
+                    let u = node
+                        .mbrs
+                        .iter()
+                        .map(|mbr| mbr.maxdist_sq(q))
+                        .fold(f64::INFINITY, f64::min);
+                    thresh = thresh.min(u);
+                }
                 for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
                     let lb = mbr.mindist_sq(q);
-                    if !cands.full() || lb <= cands.worst() {
+                    if lb <= thresh {
                         queue.push(Reverse((OrdF64::new(lb), child)));
                     }
                 }
             }
         }
+        cands.compact();
+        cands.sort();
+    }
+
+    /// `true` when every child subtree of a node at `level` is
+    /// guaranteed to hold at least `k` points: a non-root node holds at
+    /// least `min_entries` entries (checked by
+    /// [`RTree::check_invariants`]), so a child at level `level − 1`
+    /// holds at least `min_entries^level` items. Children are never the
+    /// root, which alone may be under-filled.
+    #[inline]
+    fn children_hold(&self, level: u32, k: usize) -> bool {
+        self.config.min_entries.saturating_pow(level) >= k
     }
 
     /// Depth-first branch-and-bound k-NN `[RKV95]`. Same result contract

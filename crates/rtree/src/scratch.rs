@@ -8,12 +8,13 @@
 //! delegate to the `_in` variants with a fresh scratch, so results are
 //! identical by construction.
 //!
-//! The k-candidate set is a bounded sorted array rather than the usual
-//! `BinaryHeap` + id-keyed `HashMap` pair: k is small (the paper's
-//! experiments stop at k = 10), so a sorted insert into a `Vec` beats
-//! hashing, keeps the output pre-sorted, and — because candidates are
-//! keyed by their slot, not by `item.id` — two distinct points sharing a
-//! user-supplied id can no longer silently collapse into one result.
+//! The k-candidate set is a plain array rather than the usual
+//! `BinaryHeap` + id-keyed `HashMap` pair. The best-first kNN appends
+//! unordered and compacts to the best k with one selection per heap
+//! pop; the depth-first and group traversals keep it sorted by
+//! insertion. Either way candidates are keyed by their slot, not by
+//! `item.id`, so two distinct points sharing a user-supplied id can no
+//! longer silently collapse into one result.
 
 use crate::node::{Item, NodeId};
 use crate::util::OrdF64;
@@ -28,18 +29,37 @@ pub(crate) struct Candidate {
     pub(crate) item: Item,
 }
 
-/// Bounded best-k candidate array, kept sorted ascending by
-/// `(dist_sq, item.id)`.
+/// Bounded best-k candidate array under the total `(dist_sq, item.id)`
+/// order.
 ///
-/// Replaces the `BinaryHeap<(OrdF64, u64)>` + `HashMap<u64, Candidate>`
-/// pair the kNN algorithms used to allocate per query. Candidates are
-/// addressed by slot, so duplicate ids coexist; the shared
-/// [`CandidateSet::worst`] helper is the single pruning bound the
-/// best-first and depth-first searches both use.
+/// Two ways to fill it, never mixed within one query:
+/// * **Sorted** ([`CandidateSet::consider`]): every offer is a sorted
+///   insert, so the slots stay ascending and [`CandidateSet::worst`] is
+///   the k-th distance. The depth-first and group traversals use it.
+/// * **Batched** ([`CandidateSet::push`], [`CandidateSet::compact`],
+///   [`CandidateSet::sort`]): a leaf scan appends its survivors
+///   unordered, one `select_nth_unstable` per heap pop keeps the best
+///   k and yields the exact k-th distance, and one sort at the end
+///   restores the output order. The best-first kernel
+///   ([`crate::RTree::knn_core`]) uses it.
+///
+/// Candidates are addressed by slot, so duplicate ids coexist.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateSet {
     k: usize,
     slots: Vec<Candidate>,
+}
+
+/// The candidate order: ascending distance, ties broken by id, then by
+/// position (so two points sharing an id and a distance still have a
+/// defined winner, whatever order they arrive in).
+#[inline]
+fn by_dist_id(a: &Candidate, b: &Candidate) -> Ordering {
+    a.dist_sq
+        .total_cmp(&b.dist_sq)
+        .then(a.item.id.cmp(&b.item.id))
+        .then(a.item.point.x.total_cmp(&b.item.point.x))
+        .then(a.item.point.y.total_cmp(&b.item.point.y))
 }
 
 impl CandidateSet {
@@ -56,8 +76,8 @@ impl CandidateSet {
         self.slots.len() == self.k
     }
 
-    /// The pruning bound: the k-th best squared distance, or `+∞` while
-    /// the set is not yet full.
+    /// The pruning bound of the sorted mode: the k-th best squared
+    /// distance, or `+∞` while the set is not yet full.
     #[inline]
     pub(crate) fn worst(&self) -> f64 {
         if self.full() {
@@ -65,6 +85,32 @@ impl CandidateSet {
         } else {
             f64::INFINITY
         }
+    }
+
+    /// Batched mode: appends a candidate without ordering or bounding.
+    #[inline]
+    pub(crate) fn push(&mut self, dist_sq: f64, item: Item) {
+        self.slots.push(Candidate { dist_sq, item });
+    }
+
+    /// Batched mode: keeps the best k of the appended candidates (in no
+    /// particular order) and returns the exact k-th squared distance,
+    /// or `+∞` while fewer than k are held.
+    pub(crate) fn compact(&mut self) -> f64 {
+        let k = self.k;
+        if k == 0 || self.slots.len() < k {
+            return f64::INFINITY;
+        }
+        let (_, kth, _) = self.slots.select_nth_unstable_by(k - 1, by_dist_id);
+        let bound = kth.dist_sq;
+        self.slots.truncate(k);
+        bound
+    }
+
+    /// Batched mode: restores the ascending `(dist_sq, id)` order after
+    /// the last [`CandidateSet::compact`].
+    pub(crate) fn sort(&mut self) {
+        self.slots.sort_unstable_by(by_dist_id);
     }
 
     /// Offers a candidate: inserted while the set is under-full, or when
@@ -75,26 +121,23 @@ impl CandidateSet {
     /// insert-built tree, a bulk-loaded one and the shared-frontier
     /// group kNN promise bit-identical results.
     pub(crate) fn consider(&mut self, dist_sq: f64, item: Item) {
+        let cand = Candidate { dist_sq, item };
         if self.full() {
             #[expect(clippy::expect_used, reason = "full() implies k ≥ 1 slot")]
             let last = self.slots.last().expect("full set is non-empty");
-            if last
-                .dist_sq
-                .total_cmp(&dist_sq)
-                .then(last.item.id.cmp(&item.id))
-                != Ordering::Greater
-            {
+            if by_dist_id(last, &cand) != Ordering::Greater {
                 return;
             }
             self.slots.pop();
         }
-        let pos = self.slots.partition_point(|c| {
-            c.dist_sq.total_cmp(&dist_sq).then(c.item.id.cmp(&item.id)) != Ordering::Greater
-        });
-        self.slots.insert(pos, Candidate { dist_sq, item });
+        let pos = self
+            .slots
+            .partition_point(|c| by_dist_id(c, &cand) != Ordering::Greater);
+        self.slots.insert(pos, cand);
     }
 
-    /// The candidates, ascending by `(dist_sq, id)`.
+    /// The candidates: ascending by `(dist_sq, id)` in the sorted mode
+    /// and after [`CandidateSet::sort`].
     #[inline]
     pub(crate) fn slots(&self) -> &[Candidate] {
         &self.slots
@@ -243,6 +286,28 @@ mod tests {
         c.consider(3.0, item(1));
         c.consider(3.0, item(7));
         assert_eq!(c.slots()[0].item.id, 1, "arrival order must not matter");
+    }
+
+    #[test]
+    #[expect(clippy::float_cmp, reason = "pins exactly representable results")]
+    fn batched_mode_matches_sorted_mode() {
+        let offers = [(9.0, 1), (1.0, 2), (4.0, 9), (4.0, 3), (16.0, 4), (2.0, 5)];
+        let mut sorted = CandidateSet::default();
+        sorted.reset(3);
+        let mut batched = CandidateSet::default();
+        batched.reset(3);
+        assert_eq!(batched.compact(), f64::INFINITY, "under-full");
+        for (d, id) in offers {
+            sorted.consider(d, item(id));
+            batched.push(d, item(id));
+        }
+        // The k-th under (dist², id): the tie at 4.0 goes to id 3.
+        assert_eq!(batched.compact(), 4.0);
+        assert_eq!(batched.slots().len(), 3);
+        batched.sort();
+        let ids = |c: &CandidateSet| c.slots().iter().map(|c| c.item.id).collect::<Vec<_>>();
+        assert_eq!(ids(&batched), vec![2, 5, 3]);
+        assert_eq!(ids(&batched), ids(&sorted));
     }
 
     #[test]

@@ -237,6 +237,24 @@ impl RTree {
         })
     }
 
+    /// Iterates over the stored MBR of every non-root node, as its
+    /// parent's entry holds it (unmetered — a maintenance scan, not a
+    /// query). A traversal-independent census of the tree's pages: the
+    /// kNN optimality test counts the nodes these MBRs admit.
+    pub fn iter_child_mbrs(&self) -> impl Iterator<Item = Rect> + '_ {
+        let mut stack = vec![self.root];
+        let mut pending: Vec<Rect> = Vec::new();
+        std::iter::from_fn(move || loop {
+            if let Some(mbr) = pending.pop() {
+                return Some(mbr);
+            }
+            let id = stack.pop()?;
+            let node = &self.nodes[idx(id)];
+            pending.extend(node.mbrs.iter().copied());
+            stack.extend(node.children.iter().copied());
+        })
+    }
+
     /// Verifies every structural invariant; returns a description of the
     /// first violation. Used by tests and debug assertions, never by
     /// query paths.

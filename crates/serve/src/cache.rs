@@ -22,6 +22,16 @@
 //! can never return a wrong answer — at worst an evicted replica turns
 //! a would-be hit into a recomputation.
 //!
+//! ## The inline box
+//!
+//! A miss scans a whole shard (up to `per_shard` entries) and rejects
+//! almost every one. Each entry therefore carries its region's
+//! conservative bounding box ([`QueryAnswer::region_bbox`]) inline, and
+//! a probe tests the box before it dereferences the shared answer: a
+//! rejection costs four comparisons on the shard's own memory instead
+//! of a pointer chase and a pair scan. The box contains every point the
+//! exact test accepts, so it changes no hit, miss or insert.
+//!
 //! Each shard is independently LRU: a logical clock stamps hits and
 //! inserts, and insertion past capacity evicts the stalest entry of
 //! that shard only.
@@ -89,8 +99,23 @@ impl ParamKey {
 #[derive(Debug)]
 struct Entry {
     key: ParamKey,
+    /// [`QueryAnswer::region_bbox`], held inline so a probe rejects on
+    /// it without dereferencing `answer` (`None`: no box, test the
+    /// region).
+    bbox: Option<Rect>,
     answer: Arc<QueryAnswer>,
     stamp: u64,
+}
+
+impl Entry {
+    /// `true` when this entry answers a request of shape `key` at
+    /// `focus`: the box test first, the exact region test only inside.
+    #[inline]
+    fn answers(&self, key: ParamKey, focus: Point) -> bool {
+        self.key == key
+            && self.bbox.is_none_or(|b| b.contains(focus))
+            && self.answer.valid_at(focus)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -211,8 +236,8 @@ impl RegionCache {
         let found = shard
             .entries
             .iter_mut()
-            // lbq-check: allow(guard-across-call) — valid_at is pure geometry (no locks, no tree access); the guard must span the probe so the LRU stamp updates atomically with the match
-            .find(|e| e.key == key && e.answer.valid_at(focus));
+            // lbq-check: allow(guard-across-call) — answers (box test, then valid_at) is pure geometry (no locks, no tree access); the guard must span the probe so the LRU stamp updates atomically with the match
+            .find(|e| e.answers(key, focus));
         match found {
             Some(e) => {
                 e.stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -237,7 +262,8 @@ impl RegionCache {
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let key = ParamKey::of(req);
-        let targets = match answer.region_bbox() {
+        let bbox = answer.region_bbox();
+        let targets = match bbox {
             Some(bbox) => self.shards_of_region(&bbox),
             None => vec![self.shard_of(req.focus())],
         };
@@ -256,6 +282,7 @@ impl RegionCache {
             }
             shard.entries.push(Entry {
                 key,
+                bbox,
                 answer: Arc::clone(&answer),
                 stamp,
             });
@@ -293,6 +320,7 @@ mod tests {
     use super::*;
     use crate::answer_on;
     use lbq_core::LbqServer;
+    use lbq_rng::Xoshiro256ss;
     use lbq_rtree::{Item, RTree, RTreeConfig};
 
     fn grid_server() -> LbqServer {
@@ -380,5 +408,210 @@ mod tests {
         assert!(cache
             .lookup(&QueryReq::window(Point::new(5.0, 5.0), 1.6, 1.5))
             .is_none());
+    }
+
+    /// Every box the cache stores, across all shards.
+    fn stored_boxes(cache: &RegionCache) -> Vec<Option<Rect>> {
+        (0..cache.shards.len())
+            .flat_map(|i| {
+                cache
+                    .lock(i)
+                    .entries
+                    .iter()
+                    .map(|e| e.bbox)
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// Turns the box test off for every resident entry: with no box a
+    /// probe falls through to the exact region test alone.
+    fn drop_boxes(cache: &RegionCache) {
+        for i in 0..cache.shards.len() {
+            for e in &mut cache.lock(i).entries {
+                e.bbox = None;
+            }
+        }
+    }
+
+    /// Sample points around a region: each corner and each edge
+    /// midpoint of its outline, jittered at several scales (from far
+    /// below the box's slack to far above it), plus jittered interior
+    /// points.
+    fn samples(outline: &[Point], rng: &mut Xoshiro256ss) -> Vec<Point> {
+        let mut anchors: Vec<Point> = outline.to_vec();
+        for (i, &a) in outline.iter().enumerate() {
+            let b = outline[(i + 1) % outline.len()];
+            anchors.push(Point::new(0.5 * (a.x + b.x), 0.5 * (a.y + b.y)));
+        }
+        for _ in 0..8 {
+            let (mut x, mut y, mut wsum) = (0.0, 0.0, 0.0);
+            for v in outline {
+                let w = rng.gen_range(0.0..1.0);
+                (x, y, wsum) = (x + w * v.x, y + w * v.y, wsum + w);
+            }
+            anchors.push(Point::new(x / wsum, y / wsum));
+        }
+        let mut out = anchors.clone();
+        for &a in &anchors {
+            for scale in [1e-15, 1e-12, 1e-10, 1e-8, 1e-5, 1e-2] {
+                for _ in 0..6 {
+                    out.push(Point::new(
+                        a.x + scale * rng.gen_range(-1.0..1.0),
+                        a.y + scale * rng.gen_range(-1.0..1.0),
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    /// Inserts `req`'s answer and checks that the stored box holds every
+    /// sampled point the exact region test accepts. Returns how many
+    /// accepted samples there were.
+    fn assert_box_conservative(
+        server: &LbqServer,
+        req: &QueryReq,
+        rng: &mut Xoshiro256ss,
+    ) -> usize {
+        let cache = RegionCache::new(server.universe(), CacheConfig::default());
+        let answer = Arc::new(answer_on(server, req));
+        cache.insert(req, Arc::clone(&answer));
+        let boxes = stored_boxes(&cache);
+        assert!(!boxes.is_empty(), "{req:?}: entry stored");
+        assert!(
+            boxes.iter().all(|b| *b == answer.region_bbox()),
+            "{req:?}: stored box"
+        );
+        let outline: Vec<Point> = match &*answer {
+            QueryAnswer::Knn(r) if r.validity.polygon.is_empty() => vec![req.focus()],
+            QueryAnswer::Knn(r) => r.validity.polygon.vertices().to_vec(),
+            QueryAnswer::Window(r) => {
+                let ir = r.validity.inner_rect;
+                vec![
+                    Point::new(ir.xmin, ir.ymin),
+                    Point::new(ir.xmax, ir.ymin),
+                    Point::new(ir.xmax, ir.ymax),
+                    Point::new(ir.xmin, ir.ymax),
+                ]
+            }
+        };
+        let mut accepted = 0;
+        for p in samples(&outline, rng) {
+            if answer.valid_at(p) {
+                accepted += 1;
+                for b in boxes.iter().flatten() {
+                    assert!(
+                        b.contains(p),
+                        "{req:?}: {p} is valid but outside the box {b:?}"
+                    );
+                }
+            }
+        }
+        accepted
+    }
+
+    #[test]
+    fn stored_box_holds_every_valid_point() {
+        let mut rng = Xoshiro256ss::seed_from_u64(0xB0C5);
+        // Generic data: kNN regions and windows.
+        let universe = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let items: Vec<Item> = (0..600)
+            .map(|i| {
+                Item::new(
+                    Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)),
+                    i,
+                )
+            })
+            .collect();
+        let generic = LbqServer::new(RTree::bulk_load(items, RTreeConfig::tiny()), universe);
+        let mut accepted = 0;
+        for _ in 0..25 {
+            let q = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
+            for k in [1, 3, 10] {
+                accepted += assert_box_conservative(&generic, &QueryReq::knn(q, k), &mut rng);
+            }
+            let h = rng.gen_range(0.01..0.2);
+            accepted += assert_box_conservative(&generic, &QueryReq::window(q, h, h), &mut rng);
+        }
+        // Lattice ties: foci on lattice points, edge midpoints and cell
+        // centres, where several bisectors meet at one vertex.
+        let grid = grid_server();
+        for q in [
+            Point::new(4.0, 4.0),
+            Point::new(4.5, 4.0),
+            Point::new(4.5, 4.5),
+            Point::new(0.0, 9.0),
+        ] {
+            for k in [1, 2, 4, 5] {
+                accepted += assert_box_conservative(&grid, &QueryReq::knn(q, k), &mut rng);
+            }
+            accepted += assert_box_conservative(&grid, &QueryReq::window(q, 1.5, 1.5), &mut rng);
+        }
+        // Empty influence set: k covers the whole dataset, the region is
+        // the universe.
+        let everything = QueryReq::knn(Point::new(3.3, 6.1), 100);
+        let QueryAnswer::Knn(r) = answer_on(&grid, &everything) else {
+            unreachable!("a kNN request answers with a kNN response")
+        };
+        assert!(
+            r.validity.pairs.is_empty(),
+            "k = n leaves no influence pair"
+        );
+        accepted += assert_box_conservative(&grid, &everything, &mut rng);
+        assert!(accepted > 1_000, "only {accepted} samples were valid");
+    }
+
+    #[test]
+    fn box_test_changes_no_hit_miss_or_insert() {
+        // One fixed mixed stream against two caches, one of which has
+        // its boxes dropped after every insert. Few slots per shard, so
+        // evictions are part of the stream.
+        let server = grid_server();
+        let config = CacheConfig {
+            shards: 4,
+            per_shard: 10,
+            grid: 8,
+        };
+        let boxed = RegionCache::new(server.universe(), config);
+        let plain = RegionCache::new(server.universe(), config);
+        let mut rng = Xoshiro256ss::seed_from_u64(0x57A7);
+        let anchors: Vec<Point> = (0..16)
+            .map(|_| Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
+            .collect();
+        let mut hits = 0;
+        for step in 0..1_500 {
+            let a = anchors[rng.gen_range(0..anchors.len())];
+            // Jittered around an anchor, kept inside the universe.
+            let focus = Point::new(
+                (a.x + rng.gen_range(-0.2..0.2)).clamp(0.0, 10.0),
+                (a.y + rng.gen_range(-0.2..0.2)).clamp(0.0, 10.0),
+            );
+            let req = match step % 3 {
+                0 => QueryReq::window(focus, 1.5, 1.5),
+                _ => QueryReq::knn(focus, 1 + step % 2),
+            };
+            let (b, p) = (boxed.lookup(&req), plain.lookup(&req));
+            assert_eq!(
+                b.as_ref().map(|a| a.result_ids()),
+                p.as_ref().map(|a| a.result_ids()),
+                "step {step}: {req:?}"
+            );
+            if b.is_some() {
+                hits += 1;
+            } else {
+                let answer = Arc::new(answer_on(&server, &req));
+                boxed.insert(&req, Arc::clone(&answer));
+                plain.insert(&req, answer);
+                drop_boxes(&plain);
+            }
+        }
+        assert_eq!(boxed.stats(), plain.stats());
+        assert!(
+            hits > 200 && boxed.stats().misses > 200,
+            "{:?}",
+            boxed.stats()
+        );
+        assert!(stored_boxes(&boxed).iter().all(Option::is_some));
     }
 }

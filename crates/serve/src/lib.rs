@@ -170,18 +170,29 @@ impl QueryAnswer {
         }
     }
 
-    /// A bounding rectangle of the validity region (`None` when the
-    /// region polygon is empty). Conservative: containment must still
-    /// be tested with [`QueryAnswer::valid_at`]; the cache uses this
-    /// only to decide which shards an entry belongs to.
+    /// A conservative bounding rectangle of the validity region: every
+    /// point [`QueryAnswer::valid_at`] accepts lies inside it. `None`
+    /// when a kNN region polygon is empty (a degenerate tie), where
+    /// only the universe bounds the locus.
+    ///
+    /// The cache uses it twice: to decide which shards an entry
+    /// belongs to, and as an inline prefilter, so a lookup rejects an
+    /// entry on four comparisons before it touches the shared answer.
+    /// The kNN box is the polygon's, padded by the region construction's
+    /// own tolerance ([`lbq_core::nn::vertex_eps`]): the polygon comes
+    /// from rounded clips, the pair tests of `valid_at` are exact. An
+    /// empty influence set is valid across the universe; a window region
+    /// lies inside its `inner_rect`, which `valid_at` tests first.
     pub fn region_bbox(&self) -> Option<lbq_geom::Rect> {
         match self {
             QueryAnswer::Knn(r) => {
+                let universe = r.validity.universe;
                 if r.validity.pairs.is_empty() {
-                    // Empty influence set: valid across the universe.
-                    Some(r.validity.universe)
+                    Some(universe)
                 } else {
-                    r.validity.polygon.bounding_rect()
+                    let slack = lbq_core::nn::vertex_eps(&universe);
+                    let bbox = r.validity.polygon.bounding_rect()?;
+                    Some(bbox.inflate(slack, slack))
                 }
             }
             QueryAnswer::Window(r) => Some(r.validity.inner_rect),
