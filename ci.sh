@@ -72,12 +72,28 @@ cargo test --release -q -p lbq-core --test zero_alloc
 echo "== experiments --all --quick (Section 6 figures pinned byte for byte)"
 # Every figure's NA/PA, area and count at quick scale. The output is
 # deterministic; a change that moves a figure regenerates
-# experiments_quick.txt and says why in CHANGES.md.
-cargo run --release -q -p lbq-bench --bin experiments -- --all --quick 2>/dev/null \
+# experiments_quick.txt and says why in CHANGES.md. The binary's stderr
+# (a panic message, say) is kept and shown when the diff fails.
+err="$(mktemp)"
+cargo run --release -q -p lbq-bench --bin experiments -- --all --quick 2>"$err" \
     | diff -u experiments_quick.txt - || {
-    echo "ci: experiments --all --quick differs from experiments_quick.txt" >&2
+    echo "ci: experiments --all --quick differs from experiments_quick.txt; its stderr:" >&2
+    cat "$err" >&2
+    rm -f "$err"
     exit 1
 }
+
+echo "== experiments --all (full-scale figures against experiments_full.txt, ~70 s)"
+# The archive EXPERIMENTS.md quotes. Same rule as the quick stage: a
+# change that moves a figure regenerates experiments_full.txt.
+cargo run --release -q -p lbq-bench --bin experiments -- --all 2>"$err" \
+    | diff -u experiments_full.txt - || {
+    echo "ci: experiments --all differs from experiments_full.txt; its stderr:" >&2
+    cat "$err" >&2
+    rm -f "$err"
+    exit 1
+}
+rm -f "$err"
 
 echo "== examples (text tracing + profile tables)"
 for ex in quickstart moving_client city_window geofence_region; do

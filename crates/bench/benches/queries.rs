@@ -30,11 +30,6 @@ fn bench_knn() {
             i = (i + 1) % queries.len();
             tree.knn(queries[i], k)
         });
-        let mut i = 0;
-        bench(&format!("knn/depth_first/{k}"), || {
-            i = (i + 1) % queries.len();
-            tree.knn_depth_first(queries[i], k)
-        });
     }
 }
 

@@ -1,5 +1,5 @@
-//! Micro-benchmarks for the substrates: R\*-tree construction and
-//! maintenance, Delaunay/Voronoi construction (the `[ZL01]`
+//! Micro-benchmarks for the substrates: STR R-tree construction,
+//! Delaunay/Voronoi construction (the `[ZL01]`
 //! precomputation the paper argues against), and Minskew builds.
 //!
 //! Formerly criterion; now a plain `harness = false` main over
@@ -20,16 +20,6 @@ fn bench_tree_build() {
             RTree::bulk_load(data.items.clone(), RTreeConfig::paper())
         });
     }
-    // One-by-one R* insertion (small n — it is O(n log n) with heavy
-    // constants, which is exactly why bulk loading exists).
-    let data = uniform_unit(10_000, 5);
-    bench("rtree_build/insert_10k", || {
-        let mut t = RTree::new(RTreeConfig::paper());
-        for &item in &data.items {
-            t.insert(item);
-        }
-        t
-    });
 }
 
 fn bench_voronoi_precompute() {

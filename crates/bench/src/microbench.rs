@@ -10,15 +10,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Samples per benchmark (criterion's default is 100; we keep runs
-/// short by default and let `heavy-tests` lengthen them).
-fn samples() -> usize {
-    if cfg!(feature = "heavy-tests") {
-        50
-    } else {
-        15
-    }
-}
+/// Samples per benchmark (criterion's default is 100; these runs are
+/// kept short).
+const SAMPLES: usize = 15;
 
 /// One timed result, in nanoseconds per iteration.
 #[derive(Debug, Clone, Copy)]
@@ -51,7 +45,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Sample {
         }
         iters *= 4;
     }
-    let mut per_iter: Vec<f64> = (0..samples())
+    let mut per_iter: Vec<f64> = (0..SAMPLES)
         .map(|_| {
             let t = Instant::now();
             for _ in 0..iters {

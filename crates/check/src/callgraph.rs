@@ -11,8 +11,8 @@
 //! the [`STD_METHODS`] list (`len`, `push`, `insert`, `collect`, …) is
 //! treated as a std-library call and produces **no** edge. Without
 //! that carve-out, every `HashMap::insert` in the workspace aliases
-//! `RTree::insert` and the whole mutation subtree goes hot — the graph
-//! becomes all noise. A workspace method shadowing a std name loses
+//! `RegionCache::insert` and the Delaunay builder's `insert`, and the
+//! graph becomes all noise. A workspace method shadowing a std name loses
 //! propagation; the runtime counting-allocator assertions remain the
 //! ground-truth backstop for that gap. The `// lbq-check: cold`
 //! annotation and reason-carrying allows are the other pressure valves

@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn empty_server_responses() {
         let server = LbqServer::new(
-            RTree::new(RTreeConfig::tiny()),
+            RTree::bulk_load(Vec::new(), RTreeConfig::tiny()),
             Rect::new(0.0, 0.0, 1.0, 1.0),
         );
         let nn = server.knn_with_validity(Point::new(0.5, 0.5), 3);

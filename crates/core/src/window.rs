@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_window() {
-        let tree = RTree::new(RTreeConfig::tiny());
+        let tree = RTree::bulk_load(Vec::new(), RTreeConfig::tiny());
         let resp = window_with_validity(&tree, Point::new(0.5, 0.5), 0.1, 0.1, unit());
         assert!(resp.result.is_empty());
         assert!((resp.validity.area() - 1.0).abs() < 1e-12);

@@ -11,8 +11,7 @@
 //!   construction in `lbq-voronoi`).
 //!
 //! Formerly `proptest`; now seeded [`lbq_rng`] randomness (no crates.io
-//! access in the build environment). The `heavy-tests` feature
-//! multiplies case counts.
+//! access in the build environment). Every run checks the same cases.
 
 use lbq_core::{retrieve_influence_set, window_with_validity};
 use lbq_geom::{Point, Rect};
@@ -20,14 +19,8 @@ use lbq_rng::Xoshiro256ss;
 use lbq_rtree::{Item, RTree, RTreeConfig};
 use lbq_voronoi::VoronoiDiagram;
 
-/// Case-count knob: 8× under `--features heavy-tests`.
-fn cases(base: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        base * 8
-    } else {
-        base
-    }
-}
+/// Random cases per property.
+const CASES: usize = 40;
 
 fn rand_items(rng: &mut Xoshiro256ss, min: usize, max: usize) -> Vec<Item> {
     let n = rng.gen_range(min..max);
@@ -54,7 +47,7 @@ fn unit() -> Rect {
 #[test]
 fn nn_region_equals_voronoi_cell() {
     let mut rng = Xoshiro256ss::seed_from_u64(0xF00);
-    for case in 0..cases(40) {
+    for case in 0..CASES {
         let items = rand_items(&mut rng, 3, 60);
         let q = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
         let tree = RTree::bulk_load(items.clone(), RTreeConfig::tiny());
@@ -78,7 +71,7 @@ fn nn_region_equals_voronoi_cell() {
 fn knn_region_is_sound() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x50D);
     let mut tested = 0;
-    while tested < cases(40) {
+    while tested < CASES {
         let items = rand_items(&mut rng, 8, 120);
         let q = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
         let k = rng.gen_range(1..6usize);
@@ -106,7 +99,7 @@ fn knn_region_is_sound() {
 #[test]
 fn window_region_is_sound_and_conservative_nested() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x31D0);
-    for case in 0..cases(40) {
+    for case in 0..CASES {
         let items = rand_items(&mut rng, 5, 150);
         let c = Point::new(rng.gen_range(0.1..0.9), rng.gen_range(0.1..0.9));
         let hx = rng.gen_range(0.01..0.15);
@@ -147,7 +140,7 @@ fn window_region_is_sound_and_conservative_nested() {
 fn influence_pairs_are_necessary() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x4EC);
     let mut tested = 0;
-    while tested < cases(40) {
+    while tested < CASES {
         let items = rand_items(&mut rng, 5, 50);
         let q = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
         // Each influence pair's half-plane must cut the region built

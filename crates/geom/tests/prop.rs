@@ -2,22 +2,15 @@
 //!
 //! Formerly written with `proptest`; the build environment has no
 //! crates.io access, so the same properties are now exercised with the
-//! vendored, seeded [`lbq_rng`] generator. Every run is deterministic;
-//! enable the `heavy-tests` feature to multiply the case counts.
+//! vendored, seeded [`lbq_rng`] generator. Every run is deterministic.
 
 use lbq_geom::{
     rect_difference_area, rect_union_area, ConvexPolygon, HalfPlane, Point, Rect, Vec2,
 };
 use lbq_rng::Xoshiro256ss;
 
-/// Case-count knob: 8× under `--features heavy-tests`.
-fn cases(base: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        base * 8
-    } else {
-        base
-    }
-}
+/// Random cases per property.
+const CASES: usize = 256;
 
 fn rand_point(rng: &mut Xoshiro256ss, range: f64) -> Point {
     Point::new(rng.gen_range(-range..range), rng.gen_range(-range..range))
@@ -32,7 +25,7 @@ fn rand_rect(rng: &mut Xoshiro256ss, range: f64) -> Rect {
 fn bisector_agrees_with_distance() {
     let mut rng = Xoshiro256ss::seed_from_u64(0xB15E);
     let mut tested = 0;
-    while tested < cases(256) {
+    while tested < CASES {
         let keep = rand_point(&mut rng, 100.0);
         let other = rand_point(&mut rng, 100.0);
         let probe = rand_point(&mut rng, 100.0);
@@ -58,7 +51,7 @@ fn bisector_agrees_with_distance() {
 #[test]
 fn clip_area_never_grows() {
     let mut rng = Xoshiro256ss::seed_from_u64(0xC11F);
-    for case in 0..cases(256) {
+    for case in 0..CASES {
         let rect = rand_rect(&mut rng, 50.0);
         let mut poly = ConvexPolygon::from_rect(&rect);
         let mut prev = poly.area();
@@ -84,7 +77,7 @@ fn clip_area_never_grows() {
 #[test]
 fn clipped_polygon_points_satisfy_all_planes() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x9A7E);
-    for case in 0..cases(256) {
+    for case in 0..CASES {
         let rect = rand_rect(&mut rng, 50.0);
         let n_pairs = rng.gen_range(1..6usize);
         let planes: Vec<HalfPlane> = (0..n_pairs)
@@ -116,7 +109,7 @@ fn clipped_polygon_points_satisfy_all_planes() {
 #[test]
 fn union_area_bounds() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x0A1EA);
-    for case in 0..cases(256) {
+    for case in 0..CASES {
         let n = rng.gen_range(1..12usize);
         let rects: Vec<Rect> = (0..n).map(|_| rand_rect(&mut rng, 30.0)).collect();
         let union = rect_union_area(&rects);
@@ -136,7 +129,7 @@ fn union_area_bounds() {
 #[test]
 fn difference_complements_union() {
     let mut rng = Xoshiro256ss::seed_from_u64(0xD1FF);
-    for case in 0..cases(256) {
+    for case in 0..CASES {
         let base = rand_rect(&mut rng, 30.0);
         let n = rng.gen_range(0..8usize);
         let holes: Vec<Rect> = (0..n).map(|_| rand_rect(&mut rng, 30.0)).collect();
@@ -156,7 +149,7 @@ fn difference_complements_union() {
 #[test]
 fn mindist_is_reachable() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x317D);
-    for case in 0..cases(256) {
+    for case in 0..CASES {
         let r = rand_rect(&mut rng, 40.0);
         let p = rand_point(&mut rng, 60.0);
         // mindist equals the distance to the clamped point, and no corner
@@ -181,7 +174,7 @@ fn mindist_is_reachable() {
 fn ray_exit_time_is_boundary_crossing() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x4A7);
     let mut tested = 0;
-    while tested < cases(256) {
+    while tested < CASES {
         let keep = rand_point(&mut rng, 50.0);
         let other = rand_point(&mut rng, 50.0);
         let origin = rand_point(&mut rng, 50.0);

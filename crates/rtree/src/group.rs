@@ -79,7 +79,7 @@ impl RTree {
         span.record("k", k);
         span.record("shared", shared);
         span.record("results", scratch.out_nn.len());
-        self.finish_query_span(&mut span, &probe);
+        self.finish_query_span(&mut span, &probe, &mut scratch.accesses);
         &scratch.out_nn
     }
 
@@ -266,7 +266,7 @@ mod tests {
         assert!(tree
             .knn_group_in(&[Point::new(1.0, 1.0)], 0, &mut scratch)
             .is_empty());
-        let empty = RTree::new(RTreeConfig::tiny());
+        let empty = RTree::bulk_load(Vec::new(), RTreeConfig::tiny());
         assert!(empty
             .knn_group_in(&[Point::new(1.0, 1.0)], 3, &mut scratch)
             .is_empty());

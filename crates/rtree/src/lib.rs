@@ -11,17 +11,19 @@
 //!
 //! ## What is implemented
 //!
-//! * **R\*-tree construction**: one-by-one insertion with ChooseSubtree,
-//!   forced reinsertion and the R\* split (margin-driven axis choice,
-//!   overlap-driven distribution choice), plus **STR bulk loading** for
-//!   building the large experiment trees quickly ([`RTree::bulk_load`]).
-//! * **Deletion** with under-full node condensing and re-insertion.
+//! * **One immutable tree, built by STR** ([`RTree::bulk_load`]): the
+//!   paper's server indexes static data, so Sort-Tile-Recursive packing
+//!   is the only constructor and nothing mutates a built tree. Its node
+//!   ids, order and MBRs are a pure function of the input order and the
+//!   configuration. R\* insertion and deletion were removed: on the
+//!   Fig. 27 workload they moved no figure nearer the paper and took
+//!   minutes to build what STR builds in a second (the measured table
+//!   is in `bulk.rs`).
 //! * **Window queries** ([`RTree::window`]) — the classic recursive
 //!   MBR-intersection descent.
-//! * **k-nearest-neighbor search**, both the depth-first branch-and-bound
-//!   of Roussopoulos et al. `[RKV95]` ([`RTree::knn_depth_first`]) and the
-//!   optimal best-first traversal of Hjaltason & Samet `[HS99]`
-//!   ([`RTree::knn`]).
+//! * **k-nearest-neighbor search**: the optimal best-first traversal of
+//!   Hjaltason & Samet `[HS99]` ([`RTree::knn`]), which reads exactly
+//!   the nodes whose MBR meets the final k-NN disk.
 //! * **Time-parameterized NN queries** `[TP02]` ([`RTree::tp_knn`]): given
 //!   a query point moving along a ray and its current (k-)NN result, find
 //!   the object with the minimum *influence time* — the moment the result
@@ -34,8 +36,8 @@
 //!   heap allocations. Nodes are stored struct-of-arrays (parallel
 //!   MBR/child arrays, plain item arrays in leaves) so the scan loops
 //!   stream contiguous rects. There is one arena layout — the one
-//!   [`RTree::bulk_load`] and [`RTree::insert`] leave behind — and one
-//!   scan per kernel over it. See DESIGN.md §11.
+//!   [`RTree::bulk_load`] packs — and one scan per kernel over it. See
+//!   DESIGN.md §11.
 //! * **Shared-frontier group kNN** ([`RTree::knn_group_in`]): a tile of
 //!   co-located queries in one traversal, bit-identical per member to
 //!   [`RTree::knn_in`]. No serving path calls it any more (cold misses
@@ -51,9 +53,9 @@
 //! nest such scopes rather than resetting any global counter.
 //!
 //! Every public query entry point additionally opens an `lbq_obs` span
-//! (`rtree-knn`, `rtree-knn-df`, `rtree-window`, `rtree-tpnn`,
-//! `rtree-tp-window`) carrying per-query NA/PA, heap pops, depth
-//! reached and buffer hit rate, and feeds the global
+//! (`rtree-knn`, `rtree-window`, `rtree-tpnn`, `rtree-tp-window`)
+//! carrying per-query NA/PA, heap pops, depth reached and buffer hit
+//! rate, and feeds the global
 //! `rtree-node-accesses` / `rtree-page-faults` counters. With no
 //! subscriber installed the hooks cost a handful of integer ops per
 //! query (see DESIGN.md §9).
@@ -72,7 +74,6 @@
 mod bulk;
 mod group;
 pub mod hilbert;
-mod insert;
 mod nn;
 mod node;
 mod probe;
@@ -96,17 +97,14 @@ pub use util::OrdF64;
 /// Structural parameters of the tree.
 ///
 /// The defaults mirror the paper's setup: 4 KiB pages and 20-byte entries
-/// give a fan-out of 204; the R\* recommendations set the minimum fill to
-/// 40% of capacity and forced reinsertion to 30%.
+/// give a fan-out of 204; the R\* recommendation sets the minimum fill to
+/// 40% of capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeConfig {
     /// Maximum entries per node (page capacity).
     pub max_entries: usize,
     /// Minimum entries per non-root node.
     pub min_entries: usize,
-    /// Entries removed on the first overflow of a level (forced
-    /// reinsertion, R\* "p" parameter). Zero disables reinsertion.
-    pub reinsert_count: usize,
 }
 
 impl RTreeConfig {
@@ -125,13 +123,12 @@ impl RTreeConfig {
         Self::from_page_size(4096, 20)
     }
 
-    /// Capacity-first constructor with R\* fill factors.
+    /// Capacity-first constructor with the R\* minimum fill.
     pub fn with_capacity(max_entries: usize) -> Self {
         assert!(max_entries >= 4, "R-tree capacity must be at least 4");
         RTreeConfig {
             max_entries,
             min_entries: (max_entries * 2 / 5).max(2), // 40 %
-            reinsert_count: (max_entries * 3 / 10).max(1), // 30 %
         }
     }
 
@@ -157,7 +154,6 @@ mod tests {
         let c = RTreeConfig::paper();
         assert_eq!(c.max_entries, 204);
         assert_eq!(c.min_entries, 81);
-        assert_eq!(c.reinsert_count, 61);
     }
 
     #[test]

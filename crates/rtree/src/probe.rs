@@ -3,14 +3,17 @@
 //! Each public query entry point threads a [`QueryProbe`] — plain local
 //! counters, no allocation — through its traversal, then calls
 //! [`RTree::finish_query_span`] to flush the query's own NA/PA into the
-//! tree meter and the global `lbq_obs` counters and, when tracing is
-//! enabled, to attach the per-query cost fields (NA, PA, heap pops,
-//! depth reached, buffer hit rate) to the query's span. Counting in the
+//! tree meter, the query scratch's own tally
+//! ([`crate::QueryScratch::accesses`]) and the global `lbq_obs`
+//! counters and, when tracing is enabled, to attach the per-query cost
+//! fields (NA, PA, heap pops, depth reached, buffer hit rate) to the
+//! query's span. Counting in the
 //! probe keeps the innermost loop off shared cache lines, and makes the
 //! per-query figures exact however many threads query the tree. The
 //! probes cost a few integer ops per node visit, so the queries stay
 //! within the no-subscriber overhead budget.
 
+use crate::stats::Stats;
 use crate::tree::RTree;
 use lbq_obs::{Counter, Span};
 use std::sync::atomic::Ordering;
@@ -56,11 +59,14 @@ fn pa_counter() -> &'static Counter {
 
 impl RTree {
     /// Shared epilogue of the instrumented query wrappers: flushes this
-    /// query's NA/PA into the tree meter and the global metrics registry
-    /// (before the query returns, so [`RTree::with_stats`] scopes see
-    /// it) and, when the span is live, records the per-query cost fields.
-    pub(crate) fn finish_query_span(&self, span: &mut Span, probe: &QueryProbe) {
+    /// query's NA/PA into the tree meter, the scratch's `tally` and the
+    /// global metrics registry (before the query returns, so
+    /// [`RTree::with_stats`] scopes see it) and, when the span is live,
+    /// records the per-query cost fields.
+    pub(crate) fn finish_query_span(&self, span: &mut Span, probe: &QueryProbe, tally: &mut Stats) {
         let (na, pa) = (probe.na, probe.pa);
+        tally.node_accesses += na;
+        tally.page_faults += pa;
         self.stats.node_accesses.fetch_add(na, Ordering::Relaxed);
         self.stats.page_faults.fetch_add(pa, Ordering::Relaxed);
         na_counter().add(na);

@@ -52,7 +52,7 @@ impl RTree {
             }
         }
         span.record("results", scratch.out_items.len());
-        self.finish_query_span(&mut span, &probe);
+        self.finish_query_span(&mut span, &probe, &mut scratch.accesses);
         &scratch.out_items
     }
 }

@@ -11,12 +11,12 @@
 //! The k-candidate set is a plain array rather than the usual
 //! `BinaryHeap` + id-keyed `HashMap` pair. The best-first kNN appends
 //! unordered and compacts to the best k with one selection per heap
-//! pop; the depth-first and group traversals keep it sorted by
-//! insertion. Either way candidates are keyed by their slot, not by
+//! pop; the group traversal keeps it sorted by insertion. Either way candidates are keyed by their slot, not by
 //! `item.id`, so two distinct points sharing a user-supplied id can no
 //! longer silently collapse into one result.
 
 use crate::node::{Item, NodeId};
+use crate::stats::Stats;
 use crate::util::OrdF64;
 use lbq_geom::{ConvexPolygon, Point};
 use std::cmp::{Ordering, Reverse};
@@ -35,7 +35,7 @@ pub(crate) struct Candidate {
 /// Two ways to fill it, never mixed within one query:
 /// * **Sorted** ([`CandidateSet::consider`]): every offer is a sorted
 ///   insert, so the slots stay ascending and [`CandidateSet::worst`] is
-///   the k-th distance. The depth-first and group traversals use it.
+///   the k-th distance. The group traversal uses it.
 /// * **Batched** ([`CandidateSet::push`], [`CandidateSet::compact`],
 ///   [`CandidateSet::sort`]): a leaf scan appends its survivors
 ///   unordered, one `select_nth_unstable` per heap pop keeps the best
@@ -117,9 +117,9 @@ impl CandidateSet {
     /// it beats the current worst under the total `(dist_sq, id)` order
     /// (which is then evicted). Breaking distance ties by id — instead
     /// of first-seen-wins — makes the surviving k a function of the
-    /// *point set alone*, not of traversal order, which is what lets an
-    /// insert-built tree, a bulk-loaded one and the shared-frontier
-    /// group kNN promise bit-identical results.
+    /// *point set alone*, not of traversal order, which is what lets
+    /// trees packed from permuted input or at other capacities, and the
+    /// shared-frontier group kNN, promise bit-identical results.
     pub(crate) fn consider(&mut self, dist_sq: f64, item: Item) {
         let cand = Candidate { dist_sq, item };
         if self.full() {
@@ -157,8 +157,8 @@ impl CandidateSet {
 /// ```
 /// # use lbq_rtree::{QueryScratch, RTree, RTreeConfig, Item};
 /// # use lbq_geom::Point;
-/// # let mut tree = RTree::new(RTreeConfig::tiny());
-/// # for i in 0..100 { tree.insert(Item::new(Point::new(i as f64, 0.0), i)); }
+/// # let items = (0..100).map(|i| Item::new(Point::new(i as f64, 0.0), i)).collect();
+/// # let tree = RTree::bulk_load(items, RTreeConfig::tiny());
 /// let mut scratch = QueryScratch::new();
 /// for i in 0..10 {
 ///     let res = tree.knn_in(Point::new(i as f64, 0.0), 3, &mut scratch);
@@ -173,10 +173,6 @@ pub struct QueryScratch {
     pub(crate) cands: CandidateSet,
     /// Plain DFS stack (window traversals).
     pub(crate) stack: Vec<NodeId>,
-    /// Bound-carrying DFS stack (depth-first kNN).
-    pub(crate) df_stack: Vec<(f64, NodeId)>,
-    /// Child-ordering buffer (depth-first kNN mindist sort).
-    pub(crate) order: Vec<(f64, NodeId)>,
     /// Output buffer for (item, distance) results.
     pub(crate) out_nn: Vec<(Item, f64)>,
     /// Output buffer for item results.
@@ -212,6 +208,10 @@ pub struct QueryScratch {
     /// ([`crate::RTree::knn_group_in`]): slot `i` collects the best k of
     /// query `i` in the tile. Grows to the largest tile seen.
     pub(crate) group_cands: Vec<CandidateSet>,
+    /// NA/PA of every query run on this scratch, summed. Plain fields:
+    /// a scratch serves one thread, so unlike the tree-global meter the
+    /// tally holds only this scratch's own queries.
+    pub(crate) accesses: Stats,
     /// Precomputed `dist²(q, oᵢ)` for the probe's inner set — these are
     /// probe-invariant, so the leaf scans reuse them instead of
     /// recomputing one per (item, inner) pair.
@@ -232,6 +232,14 @@ impl QueryScratch {
     /// retained afterwards.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The NA/PA of every tree query run on this scratch so far. The
+    /// difference of two readings is exactly the cost of the queries
+    /// between them, however many other threads query the same tree —
+    /// unlike [`crate::RTree::stats`], whose meter is tree-global.
+    pub fn accesses(&self) -> Stats {
+        self.accesses
     }
 }
 

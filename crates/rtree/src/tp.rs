@@ -148,7 +148,7 @@ impl RTree {
         let out = self.tp_knn_probed(q, dir, t_max, inner, bound, scratch, &mut probe);
         span.record("inner", inner.len());
         span.record("found", out.is_some());
-        self.finish_query_span(&mut span, &probe);
+        self.finish_query_span(&mut span, &probe, &mut scratch.accesses);
         out
     }
 

@@ -81,7 +81,7 @@ impl RTree {
         let out = self.tp_window_probed(c, dir, t_max, hx, hy, result, scratch, &mut probe);
         span.record("result-size", result.len());
         span.record("found", out.is_some());
-        self.finish_query_span(&mut span, &probe);
+        self.finish_query_span(&mut span, &probe, &mut scratch.accesses);
         out
     }
 

@@ -3,7 +3,7 @@
 use crate::node::{Item, Node, NodeId};
 use crate::probe::QueryProbe;
 use crate::stats::{LruBuffer, Stats, StatsCell};
-use crate::util::{idx, node_id};
+use crate::util::idx;
 use crate::RTreeConfig;
 use lbq_geom::Rect;
 use std::sync::atomic::Ordering;
@@ -21,7 +21,6 @@ use std::sync::Mutex;
 #[derive(Debug)]
 pub struct RTree {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) free: Vec<NodeId>,
     pub(crate) root: NodeId,
     pub(crate) config: RTreeConfig,
     pub(crate) len: usize,
@@ -42,20 +41,6 @@ const _: fn() = || {
 };
 
 impl RTree {
-    /// Creates an empty tree.
-    pub fn new(config: RTreeConfig) -> Self {
-        RTree {
-            nodes: vec![Node::new_leaf()],
-            free: Vec::new(),
-            root: 0,
-            config,
-            len: 0,
-            stats: StatsCell::default(),
-            buffer: Mutex::new(None),
-            buffered: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
     /// Number of data points stored.
     pub fn len(&self) -> usize {
         self.len
@@ -72,10 +57,9 @@ impl RTree {
         self.nodes[idx(self.root)].level + 1
     }
 
-    /// Number of live nodes (= pages occupied on disk in the cost
-    /// model).
+    /// Number of nodes (= pages occupied on disk in the cost model).
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.nodes.len()
     }
 
     /// The structural configuration.
@@ -142,8 +126,8 @@ impl RTree {
     /// ```
     /// # use lbq_rtree::{RTree, RTreeConfig, Item};
     /// # use lbq_geom::Point;
-    /// # let mut tree = RTree::new(RTreeConfig::tiny());
-    /// # for i in 0..100 { tree.insert(Item::new(Point::new(i as f64, 0.0), i)); }
+    /// # let items = (0..100).map(|i| Item::new(Point::new(i as f64, 0.0), i)).collect();
+    /// # let tree = RTree::bulk_load(items, RTreeConfig::tiny());
     /// let (result, cost) = tree.with_stats(|t| t.knn(Point::new(3.0, 0.0), 4));
     /// assert_eq!(result.len(), 4);
     /// assert!(cost.node_accesses > 0);
@@ -193,29 +177,6 @@ impl RTree {
     #[inline]
     pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[idx(id)]
-    }
-
-    #[inline]
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[idx(id)]
-    }
-
-    /// Allocates a node slot (reusing freed pages first).
-    pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
-        if let Some(id) = self.free.pop() {
-            self.nodes[idx(id)] = node;
-            id
-        } else {
-            let id = node_id(self.nodes.len());
-            self.nodes.push(node);
-            id
-        }
-    }
-
-    /// Returns a node slot to the free list.
-    pub(crate) fn dealloc(&mut self, id: NodeId) {
-        self.nodes[idx(id)] = Node::new_leaf();
-        self.free.push(id);
     }
 
     /// Iterates over all stored items (unmetered — a maintenance scan,
@@ -283,9 +244,9 @@ impl RTree {
         self.check_invariants()
     }
 
-    /// Debug-build invariant trap, threaded through the mutation paths
-    /// (bulk load, delete, and amortized insert). Compiled out in
-    /// release builds.
+    /// Debug-build invariant trap, run once at the end of
+    /// [`RTree::bulk_load`] (the tree never changes after it). Compiled
+    /// out in release builds.
     // lbq-check: cold — debug_assertions-only; absent from the release builds the zero-alloc proof measures
     #[inline]
     #[cfg_attr(
@@ -378,6 +339,12 @@ mod tests {
     use super::*;
     use lbq_geom::Point;
 
+    /// A tiny-fan-out tree over points `0..n` placed by `at`.
+    fn tree_of(n: u64, at: impl Fn(u64) -> Point) -> RTree {
+        let items = (0..n).map(|i| Item::new(at(i), i)).collect();
+        RTree::bulk_load(items, RTreeConfig::tiny())
+    }
+
     #[test]
     fn tree_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -388,13 +355,9 @@ mod tests {
 
     #[test]
     fn concurrent_readers_meter_every_access() {
-        let mut t = RTree::new(RTreeConfig::tiny());
-        for i in 0..300 {
-            t.insert(Item::new(
-                Point::new((i * 37 % 100) as f64, (i * 53 % 100) as f64),
-                i,
-            ));
-        }
+        let t = tree_of(300, |i| {
+            Point::new((i * 37 % 100) as f64, (i * 53 % 100) as f64)
+        });
         let query =
             |w: u64, i: u64| Point::new((w * 13 + i) as f64 % 100.0, (i * 7) as f64 % 100.0);
         // Each query's own NA, measured alone.
@@ -436,7 +399,7 @@ mod tests {
 
     #[test]
     fn empty_tree_shape() {
-        let t = RTree::new(RTreeConfig::tiny());
+        let t = RTree::bulk_load(Vec::new(), RTreeConfig::tiny());
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert_eq!(t.height(), 1);
@@ -448,10 +411,7 @@ mod tests {
 
     #[test]
     fn metering_without_buffer_pa_equals_na() {
-        let mut t = RTree::new(RTreeConfig::tiny());
-        for i in 0..100 {
-            t.insert(Item::new(Point::new(i as f64, (i * 7 % 13) as f64), i));
-        }
+        let t = tree_of(100, |i| Point::new(i as f64, (i * 7 % 13) as f64));
         let (_, s) = t.with_stats(|t| t.window(&Rect::new(0.0, 0.0, 50.0, 13.0)));
         assert!(s.node_accesses > 0);
         assert_eq!(s.node_accesses, s.page_faults);
@@ -459,13 +419,9 @@ mod tests {
 
     #[test]
     fn metering_with_huge_buffer_faults_once_per_page() {
-        let mut t = RTree::new(RTreeConfig::tiny());
-        for i in 0..200 {
-            t.insert(Item::new(
-                Point::new((i * 37 % 100) as f64, (i * 17 % 100) as f64),
-                i,
-            ));
-        }
+        let t = tree_of(200, |i| {
+            Point::new((i * 37 % 100) as f64, (i * 17 % 100) as f64)
+        });
         t.set_buffer(t.node_count());
         let w = Rect::new(0.0, 0.0, 100.0, 100.0);
         let (_, first) = t.with_stats(|t| t.window(&w));
@@ -477,13 +433,9 @@ mod tests {
     }
 
     fn small_tree() -> RTree {
-        let mut t = RTree::new(RTreeConfig::tiny());
-        for i in 0..200 {
-            t.insert(Item::new(
-                Point::new((i * 37 % 100) as f64, (i * 53 % 100) as f64),
-                i,
-            ));
-        }
+        let t = tree_of(200, |i| {
+            Point::new((i * 37 % 100) as f64, (i * 53 % 100) as f64)
+        });
         assert!(t.height() >= 2, "corruption tests need an internal level");
         t.check_invariants().unwrap();
         t

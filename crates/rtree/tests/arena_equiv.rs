@@ -1,10 +1,10 @@
 //! Answers are a function of the point set, not of the arena: two trees
-//! holding the same items — one grown by R\* inserts, one STR
-//! bulk-loaded, or one mutated after its build — must return
+//! holding the same items — bulk-loaded from the items in a different
+//! order, or at a different node capacity — must return
 //! **bit-identical** kNN, TPNN and window answers. The candidate set
 //! breaks distance ties by id and the TPNN scan breaks time ties by id,
 //! so neither node order nor tree shape may leak into a result; this
-//! suite pins that across both configs on a mixed ~250-query stream.
+//! suite pins that on a mixed ~250-query stream.
 
 use lbq_geom::{Point, Rect, Vec2};
 use lbq_rng::Xoshiro256ss;
@@ -30,12 +30,13 @@ fn rand_dir(rng: &mut Xoshiro256ss) -> Vec2 {
     }
 }
 
-fn insert_built(items: &[Item], config: RTreeConfig) -> RTree {
-    let mut tree = RTree::new(config);
-    for &item in items {
-        tree.insert(item);
+/// `items` in a random order (Fisher–Yates).
+fn shuffled(items: &[Item], rng: &mut Xoshiro256ss) -> Vec<Item> {
+    let mut out = items.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.gen_range(0..i + 1));
     }
-    tree
+    out
 }
 
 fn assert_nn_identical(a: &[(Item, f64)], b: &[(Item, f64)], ctx: &str) {
@@ -66,8 +67,8 @@ fn configs() -> [RTreeConfig; 2] {
     [RTreeConfig::tiny(), RTreeConfig::paper()]
 }
 
-/// A mixed ~250-query stream (kNN best-first, kNN depth-first, window,
-/// TPNN) against both trees, all results compared bit-for-bit.
+/// A mixed ~250-query stream (kNN, group kNN, window, TPNN) against
+/// both trees, all results compared bit-for-bit.
 fn assert_stream_equiv(a: &RTree, b: &RTree, rng: &mut Xoshiro256ss, ctx: &str) {
     let mut sa = QueryScratch::new();
     let mut sb = QueryScratch::new();
@@ -84,10 +85,11 @@ fn assert_stream_equiv(a: &RTree, b: &RTree, rng: &mut Xoshiro256ss, ctx: &str) 
             }
             1 => {
                 let k = rng.gen_range(1..10usize);
+                let tile = [q, Point::new(q.x + 0.01, q.y - 0.02), q];
                 assert_nn_identical(
-                    a.knn_depth_first_in(q, k, &mut sa),
-                    b.knn_depth_first_in(q, k, &mut sb),
-                    &format!("{ctx}: knn-df case {case}"),
+                    a.knn_group_in(&tile, k, &mut sa),
+                    b.knn_group_in(&tile, k, &mut sb),
+                    &format!("{ctx}: group knn case {case}"),
                 );
             }
             2 => {
@@ -128,51 +130,33 @@ fn assert_stream_equiv(a: &RTree, b: &RTree, rng: &mut Xoshiro256ss, ctx: &str) 
 }
 
 #[test]
-fn insert_built_and_bulk_loaded_trees_answer_bit_for_bit() {
+fn permuted_input_trees_answer_bit_for_bit() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x9E9ACC);
     for config in configs() {
         let items = rand_items(&mut rng, 1200);
-        let grown = insert_built(&items, config);
+        let permuted = RTree::bulk_load(shuffled(&items, &mut rng), config);
         let bulk = RTree::bulk_load(items, config);
-        assert_eq!(grown.len(), bulk.len());
-        grown.validate().expect("insert-built tree invariants");
-        assert_stream_equiv(&grown, &bulk, &mut rng, "insert-built vs bulk-loaded");
+        assert_eq!(permuted.len(), bulk.len());
+        permuted.validate().expect("permuted tree invariants");
+        assert_stream_equiv(&permuted, &bulk, &mut rng, "permuted vs in-order");
     }
 }
 
 #[test]
-fn mutated_tree_answers_bit_for_bit() {
+fn second_capacity_trees_answer_bit_for_bit() {
     let mut rng = Xoshiro256ss::seed_from_u64(0xFA11BAC);
-    for config in configs() {
+    // Each pair packs the same items at two fan-outs: different heights,
+    // node counts and leaf boundaries.
+    let pairs = [
+        (RTreeConfig::tiny(), RTreeConfig::with_capacity(13)),
+        (RTreeConfig::paper(), RTreeConfig::with_capacity(32)),
+    ];
+    for (first, second) in pairs {
         let items = rand_items(&mut rng, 900);
-        // Inserts split nodes and claim arena slots, deletes condense
-        // and free them; the mutated tree must still answer exactly as
-        // a tree grown from its final item set.
-        let mut mutated = RTree::bulk_load(items.clone(), config);
-        let extra: Vec<Item> = (0..60)
-            .map(|j| {
-                Item::new(
-                    Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)),
-                    10_000 + j,
-                )
-            })
-            .collect();
-        for &item in &extra {
-            mutated.insert(item);
-        }
-        for item in items.iter().step_by(7) {
-            assert!(mutated.delete(item.point, item.id));
-        }
-        mutated.validate().expect("mutated tree invariants");
-        let kept: Vec<Item> = items
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 7 != 0)
-            .map(|(_, &item)| item)
-            .chain(extra)
-            .collect();
-        let grown = insert_built(&kept, config);
-        assert_eq!(mutated.len(), grown.len());
-        assert_stream_equiv(&mutated, &grown, &mut rng, "mutated vs insert-built");
+        let a = RTree::bulk_load(items.clone(), first);
+        let b = RTree::bulk_load(shuffled(&items, &mut rng), second);
+        assert_ne!(a.node_count(), b.node_count(), "the arenas must differ");
+        b.validate().expect("second-capacity tree invariants");
+        assert_stream_equiv(&a, &b, &mut rng, "first vs second capacity");
     }
 }

@@ -10,11 +10,10 @@
 //! The second identity is what the kernel's pruning must preserve: a
 //! child bound that is too tight loses a page (or a result), a stale
 //! k-th distance at the prune test or a bound taken from under-filled
-//! subtrees reads pages the disk does not reach. The trees cover a
-//! bulk-loaded paper-fanout tree, a deep tiny-fanout tree and trees
-//! mutated by inserts and deletes; the data covers generic points,
-//! lattice ties and stacks of coincident points; the foci sit inside,
-//! on and outside the data MBR.
+//! subtrees reads pages the disk does not reach. The trees are STR
+//! bulk loads (the only build) at the paper fan-out and at a deep tiny
+//! fan-out; the data covers generic points, lattice ties and stacks of
+//! coincident points; the foci sit inside, on and outside the data MBR.
 
 use lbq_geom::{Point, Rect};
 use lbq_rng::Xoshiro256ss;
@@ -49,35 +48,6 @@ fn stacks(rng: &mut Xoshiro256ss, sites: usize, copies: usize) -> Vec<Item> {
     (0..sites * copies)
         .map(|i| Item::new(at[i % sites], i as u64))
         .collect()
-}
-
-/// Inserts fresh points and deletes every seventh original, as
-/// `arena_equiv.rs` does; returns the tree and its final item set.
-fn mutated(items: &[Item], config: RTreeConfig, rng: &mut Xoshiro256ss) -> (RTree, Vec<Item>) {
-    let mut tree = RTree::bulk_load(items.to_vec(), config);
-    let base = items.len() as u64;
-    let extra: Vec<Item> = (0..items.len() as u64 / 10)
-        .map(|j| {
-            Item::new(
-                Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)),
-                base + j,
-            )
-        })
-        .collect();
-    for &item in &extra {
-        tree.insert(item);
-    }
-    for item in items.iter().step_by(7) {
-        assert!(tree.delete(item.point, item.id));
-    }
-    let kept = items
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % 7 != 0)
-        .map(|(_, &item)| item)
-        .chain(extra)
-        .collect();
-    (tree, kept)
 }
 
 /// Foci inside, on and outside the data MBR `r`, plus `extra`.
@@ -183,32 +153,4 @@ fn tiny_fanout_deep_tree() {
     let r = tree.mbr().expect("non-empty");
     let on_stack = [items[5].point, items[44].point];
     check(&tree, &items, &foci(r, &mut rng, &on_stack), "tiny stacks");
-}
-
-#[test]
-fn insert_and_delete_mutated_trees() {
-    let mut rng = Xoshiro256ss::seed_from_u64(0x3D17);
-    for config in [RTreeConfig::tiny(), RTreeConfig::paper()] {
-        let base = uniform(&mut rng, 2_500);
-        let (tree, items) = mutated(&base, config, &mut rng);
-        let r = tree.mbr().expect("non-empty");
-        check(&tree, &items, &foci(r, &mut rng, &[]), "mutated uniform");
-
-        let base = lattice(40);
-        let (tree, items) = mutated(&base, config, &mut rng);
-        let r = tree.mbr().expect("non-empty");
-        let ties = [Point::new(20.0, 20.0), Point::new(5.5, 33.5)];
-        check(&tree, &items, &foci(r, &mut rng, &ties), "mutated lattice");
-
-        let base = stacks(&mut rng, 60, 30);
-        let (tree, items) = mutated(&base, config, &mut rng);
-        let r = tree.mbr().expect("non-empty");
-        let on_stack = [base[8].point];
-        check(
-            &tree,
-            &items,
-            &foci(r, &mut rng, &on_stack),
-            "mutated stacks",
-        );
-    }
 }

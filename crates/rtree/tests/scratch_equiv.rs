@@ -65,22 +65,6 @@ fn knn_in_bit_identical_to_knn() {
 }
 
 #[test]
-fn knn_depth_first_in_bit_identical() {
-    let mut rng = Xoshiro256ss::seed_from_u64(0xDF5EED);
-    for config in configs() {
-        let tree = RTree::bulk_load(rand_items(&mut rng, 700), config);
-        let mut scratch = QueryScratch::new();
-        for case in 0..60 {
-            let q = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-            let k = rng.gen_range(1..9usize);
-            let plain = tree.knn_depth_first(q, k);
-            let reused = tree.knn_depth_first_in(q, k, &mut scratch);
-            assert_nn_identical(&plain, reused, &format!("df case {case}"));
-        }
-    }
-}
-
-#[test]
 fn window_in_bit_identical_to_window() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x77AA01);
     for config in configs() {
@@ -209,11 +193,13 @@ fn one_scratch_across_mixed_query_stream() {
             }
             _ => {
                 let k = rng.gen_range(1..6usize);
-                let plain = tree.knn_depth_first(q, k);
+                let tile = [q, Point::new(q.x + 0.02, q.y + 0.01)];
+                let mut plain = tree.knn(tile[0], k);
+                plain.extend(tree.knn(tile[1], k));
                 assert_nn_identical(
                     &plain,
-                    tree.knn_depth_first_in(q, k, &mut scratch),
-                    "mixed df",
+                    tree.knn_group_in(&tile, k, &mut scratch),
+                    "mixed group knn",
                 );
             }
         }

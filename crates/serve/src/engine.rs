@@ -459,10 +459,8 @@ struct Attribution {
     req: QueryReq,
     tier: CacheTier,
     stages: StageNanos,
-    /// Tree accesses attributed to this query. Deltas of the tree's
-    /// process-wide counters, so concurrent workers can bleed into
-    /// each other's deltas — per-query values are best-effort;
-    /// aggregates are exact.
+    /// Tree accesses of this query: the difference of the serving
+    /// scratch's own tally, so exact under any number of workers.
     accesses: Stats,
 }
 
@@ -518,11 +516,7 @@ impl TileRun<'_> {
         }
         for &(idx, req) in tile {
             let start = Instant::now();
-            let before = if recording {
-                server.tree().stats()
-            } else {
-                Stats::default()
-            };
+            let before = scratch.accesses();
             // Hot-tile Voronoi probe, ahead of the region cache: point
             // location over the tile-local triangulation plus a
             // memoized-cell lookup. Any failure degrades silently to
@@ -540,7 +534,7 @@ impl TileRun<'_> {
                                 req,
                                 tier: CacheTier::HotVoronoi,
                                 stages: lbq_obs::take_stages(),
-                                accesses: server.tree().stats().delta_since(before),
+                                accesses: scratch.accesses().delta_since(before),
                             });
                             out.push((
                                 idx,
@@ -585,7 +579,7 @@ impl TileRun<'_> {
                 req,
                 tier,
                 stages: lbq_obs::take_stages(),
-                accesses: server.tree().stats().delta_since(before),
+                accesses: scratch.accesses().delta_since(before),
             });
             out.push((
                 idx,

@@ -2,7 +2,7 @@
 //! recorder, and heatmap, end to end through `Engine::submit` — the
 //! bit-identical guarantee that arming recording changes no answer, and
 //! a live engine under the snapshot exporter with an injected slow
-//! query.
+//! query, and per-query NA/PA that stay exact under concurrent workers.
 //!
 //! Lives in its own integration-test process because recording
 //! ([`lbq_obs::set_recording`]) and the flight recorder are
@@ -140,6 +140,79 @@ fn attribution_recorder_and_heatmap_end_to_end() {
     assert!(table.contains("tree-knn") || table.contains("group-knn"));
 
     exporter_smoke(&reqs);
+    accesses_are_per_query();
+}
+
+/// Each recorded event's NA/PA is its own query's cost: with the memo
+/// tiers off, at one worker and at four, every event equals the
+/// request's single-threaded `with_stats` measurement. A tree-global
+/// meter diff would fold concurrent workers' accesses into it.
+fn accesses_are_per_query() {
+    let data = lbq_data::uniform(20_000, Rect::new(0.0, 0.0, 20.0, 20.0), 0xACCE55);
+    let server = Arc::new(LbqServer::new(
+        RTree::bulk_load(data.items, RTreeConfig::default()),
+        data.universe,
+    ));
+    // Fewer requests than the ring holds, so none is overwritten.
+    let reqs: Vec<QueryReq> = (0..200u32)
+        .map(|i| {
+            let q = Point::new(
+                f64::from(i * 37 % 200) * 0.1 + 0.03,
+                f64::from(i * 91 % 200) * 0.1 + 0.07,
+            );
+            if i % 4 == 3 {
+                QueryReq::window(q, 0.4, 0.3)
+            } else {
+                QueryReq::knn(q, 1 + (i % 10) as usize)
+            }
+        })
+        .collect();
+    let mut scratch = lbq_rtree::QueryScratch::new();
+    let want: Vec<(u32, u32)> = reqs
+        .iter()
+        .map(|req| {
+            let (_, s) = server
+                .tree()
+                .with_stats(|_| lbq_serve::answer_on_with(&server, req, &mut scratch));
+            let na = u32::try_from(s.node_accesses).expect("small NA");
+            let pa = u32::try_from(s.page_faults).expect("small PA");
+            (na, pa)
+        })
+        .collect();
+    lbq_obs::set_recording(true);
+    let rec = lbq_obs::recorder().expect("recorder armed");
+    for workers in [1, 4] {
+        let engine = Engine::new(
+            Arc::clone(&server),
+            EngineConfig {
+                cache: CacheConfig::disabled(),
+                hot: HotConfig::disabled(),
+                ..EngineConfig::with_workers(workers)
+            },
+        );
+        let first = rec.stats().total;
+        let resps = engine.submit(reqs.clone());
+        assert_eq!(resps.len(), reqs.len());
+        let events: Vec<_> = rec
+            .recent()
+            .into_iter()
+            .filter(|(ticket, _)| *ticket >= first)
+            .map(|(_, ev)| ev)
+            .collect();
+        assert_eq!(
+            events.len(),
+            reqs.len(),
+            "{workers} workers: one event per request"
+        );
+        for ev in events {
+            let i = usize::try_from(ev.query_id).expect("small id");
+            assert_eq!(
+                (ev.node_accesses, ev.page_accesses),
+                want[i],
+                "{workers} workers: request {i} NA/PA"
+            );
+        }
+    }
 }
 
 /// A live engine under the snapshot exporter: whole answers identical

@@ -354,4 +354,44 @@ fn engine_serves_coincident_and_tied_sites_their_closed_cells() {
     );
     assert_eq!(nn.result[0].point, Point::new(9.5, 10.5));
     assert!((nn.validity.area() - 1.0).abs() < 1e-9);
+
+    // The same tied focus must not poison the cache: were its region
+    // the 640-unit TPNN chain answer, the generic foci after it would
+    // hit the cached entry and get a wrong neighbour. Submitted one at
+    // a time and as one batch, behind the tied query on a fresh
+    // engine each; every answer is checked against brute force, where
+    // any site at the minimum distance is right.
+    let sites = lattice(64, 0.5);
+    let server = Arc::new(LbqServer::from_items(sites.clone(), universe));
+    let mut rng = Xoshiro256ss::seed_from_u64(0x9015E);
+    let foci: Vec<QueryReq> = (0..1_000)
+        .map(|_| {
+            QueryReq::knn(
+                Point::new(rng.gen_range(5.0..15.0), rng.gen_range(5.0..15.0)),
+                1,
+            )
+        })
+        .collect();
+    let check = |req: &QueryReq, answer: &QueryAnswer, how: &str| {
+        let (QueryReq::Knn { q, .. }, QueryAnswer::Knn(nn)) = (req, answer) else {
+            panic!("{how}: kNN request got a window answer");
+        };
+        let best = sites
+            .iter()
+            .map(|s| q.dist_sq(s.point))
+            .fold(f64::INFINITY, f64::min);
+        let got = q.dist_sq(nn.result[0].point);
+        assert!(got <= best, "{how}: focus {q} got {:?}", nn.result[0]);
+    };
+    let tied = QueryReq::knn(Point::new(10.0, 10.5), 1);
+    let engine = Engine::new(Arc::clone(&server), EngineConfig::default());
+    engine.submit(vec![tied]);
+    for req in &foci {
+        check(req, &engine.submit(vec![*req])[0].answer, "one at a time");
+    }
+    let engine = Engine::new(Arc::clone(&server), EngineConfig::default());
+    engine.submit(vec![tied]);
+    for (req, resp) in foci.iter().zip(engine.submit(foci.clone())) {
+        check(req, &resp.answer, "one batch");
+    }
 }

@@ -2,21 +2,14 @@
 //! Voronoi dual on random point sets.
 //!
 //! Formerly `proptest`; now seeded [`lbq_rng`] randomness (no crates.io
-//! access in the build environment). The `heavy-tests` feature
-//! multiplies case counts.
+//! access in the build environment). Every run checks the same cases.
 
 use lbq_geom::{ConvexPolygon, HalfPlane, Point, Rect};
 use lbq_rng::Xoshiro256ss;
 use lbq_voronoi::{Delaunay, VoronoiDiagram};
 
-/// Case-count knob: 8× under `--features heavy-tests`.
-fn cases(base: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        base * 8
-    } else {
-        base
-    }
-}
+/// Random cases per property.
+const CASES: usize = 48;
 
 fn rand_sites(rng: &mut Xoshiro256ss, max: usize) -> Vec<Point> {
     let n = rng.gen_range(1..max);
@@ -32,7 +25,7 @@ fn unit() -> Rect {
 #[test]
 fn triangulation_is_delaunay_with_symmetric_adjacency() {
     let mut rng = Xoshiro256ss::seed_from_u64(0xDE1A);
-    for case in 0..cases(48) {
+    for case in 0..CASES {
         let sites = rand_sites(&mut rng, 80);
         let d = Delaunay::build(&sites, unit());
         d.check_adjacency()
@@ -45,7 +38,7 @@ fn triangulation_is_delaunay_with_symmetric_adjacency() {
 #[test]
 fn cells_tile_the_universe() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x711E);
-    for case in 0..cases(48) {
+    for case in 0..CASES {
         let sites = rand_sites(&mut rng, 60);
         let d = VoronoiDiagram::build(&sites, unit());
         let total: f64 = (0..d.len()).map(|i| d.cell(i).area()).sum();
@@ -56,7 +49,7 @@ fn cells_tile_the_universe() {
 #[test]
 fn cell_matches_all_pairs_clipping() {
     let mut rng = Xoshiro256ss::seed_from_u64(0xA11);
-    for case in 0..cases(48) {
+    for case in 0..CASES {
         let sites = rand_sites(&mut rng, 25);
         // The Delaunay-dual cell equals the brute-force intersection of
         // every bisector half-plane.
@@ -82,7 +75,7 @@ fn cell_matches_all_pairs_clipping() {
 #[test]
 fn nearest_site_owns_containing_cell() {
     let mut rng = Xoshiro256ss::seed_from_u64(0x0EA5);
-    for case in 0..cases(48) {
+    for case in 0..CASES {
         let sites = rand_sites(&mut rng, 40);
         let q = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
         let d = VoronoiDiagram::build(&sites, unit());
