@@ -106,7 +106,8 @@ impl WindowValidity {
     /// 3. the conservative rectangle avoids every Minkowski hole — a
     ///    client trusting the constant-time check must never sit on a
     ///    stale result;
-    /// 4. no object is both inner and outer influence.
+    /// 4. no site (id and position: ids may repeat) is both inner and
+    ///    outer influence.
     pub fn validate(&self, c: Point) -> Result<(), String> {
         let ir = self.inner_rect;
         if !(ir.xmin <= ir.xmax && ir.ymin <= ir.ymax) {
@@ -139,10 +140,10 @@ impl WindowValidity {
             }
         }
         for it in &self.inner_influence {
-            if self.outer_influence.iter().any(|o| o.id == it.id) {
+            if self.outer_influence.contains(it) {
                 return Err(format!(
-                    "object {} is both inner and outer influence",
-                    it.id
+                    "object {} at {} is both inner and outer influence",
+                    it.id, it.point
                 ));
             }
         }

@@ -9,11 +9,22 @@
 //!   are the *inner influence objects*; and
 //! * no **outer** point enters — the client stays outside each outer
 //!   candidate's **Minkowski region** `Rect(p ± (hx,hy))`; candidates
-//!   are fetched with one extra window query over the *extended window*
-//!   (the original window inflated by the inner rectangle's extents —
-//!   the paper's "marginal rectangle" is that extension minus the
-//!   original, Fig. 17), and the candidates whose Minkowski regions
+//!   are the points of the *extended window* (the original window
+//!   inflated by the inner rectangle's extents — the paper's "marginal
+//!   rectangle" is that extension minus the original, Fig. 17) outside
+//!   the original window, and the candidates whose Minkowski regions
 //!   actually shape the region are the *outer influence objects*.
+//!
+//! The paper fetches the candidates with a second window query over the
+//! extended window, which re-reads every node of the first.
+//! [`window_with_validity_in`] reads each node once instead: the result
+//! descent ([`RTree::window_split_in`]) also records what it skips
+//! inside a reach box proven to hold the extended window, and the
+//! candidates are resumed from that record
+//! ([`RTree::window_resume_in`]), so a request reads exactly the
+//! extended window's nodes. [`window_validity_from_result`] keeps the
+//! paper's two-query form (the cost split of Fig. 34): the same second
+//! phase started at the root.
 //!
 //! The exact validity region is rectilinear (`inner − ⋃ Minkowski`);
 //! its area is computed exactly by the sweepline in
@@ -21,8 +32,17 @@
 //! Fig. 19) is also produced for clients that want a constant-time
 //! check.
 
-use lbq_geom::{rect_difference_area, rect_union_area, Point, Rect};
-use lbq_rtree::{Item, QueryScratch, RTree};
+use lbq_geom::{rect_difference_area, rect_union_area_in, Point, Rect};
+use lbq_obs::Counter;
+use lbq_rtree::{Item, QueryScratch, RTree, WindowBuffers};
+use std::cmp::Ordering;
+use std::sync::OnceLock;
+
+/// Above this many holes left by the dominance pass, the exact union
+/// minimality step (O(m³ log m)) is skipped and the outer influence set
+/// ships as dominance left it: possibly non-minimal, which costs bytes,
+/// never correctness. Each skip is counted as `window-minimality-cap`.
+const MINIMALITY_CAP: usize = 64;
 
 /// The validity structure of a location-based window query.
 #[derive(Debug, Clone)]
@@ -96,6 +116,14 @@ pub struct WindowResponse {
     pub validity: WindowValidity,
 }
 
+impl WindowResponse {
+    /// The extended window (paper Fig. 17) the outer candidates came
+    /// from. Meaningful only for a non-empty result.
+    pub fn extended_window(&self) -> Rect {
+        extended_window(&self.window, self.query, &self.validity.inner_rect)
+    }
+}
+
 /// Evaluates a location-based window query: result, influence sets and
 /// validity region. `c` is the client location (window center).
 pub fn window_with_validity(
@@ -109,9 +137,10 @@ pub fn window_with_validity(
     window_with_validity_in(tree, c, hx, hy, universe, &mut scratch)
 }
 
-/// [`window_with_validity`] against a reusable [`QueryScratch`]: both
-/// tree traversals (the result window and the extended candidate
-/// window) run on caller-owned buffers.
+/// [`window_with_validity`] against a reusable [`QueryScratch`]: one
+/// traversal reads each node at most once, and once the scratch is warm
+/// the only allocations are the owned response's `result`,
+/// `inner_influence` and `outer_influence` (one each when non-empty).
 pub fn window_with_validity_in(
     tree: &RTree,
     c: Point,
@@ -123,16 +152,18 @@ pub fn window_with_validity_in(
     assert!(hx > 0.0 && hy > 0.0, "window extents must be positive");
     let _stage = lbq_obs::stage_timer(lbq_obs::Stage::WindowPass);
     let window = Rect::centered(c, hx, hy);
-    // Query 1: the result itself. Copied out of the scratch because the
-    // second (extended-window) query reuses the same buffers.
-    let result = tree.window_in(&window, scratch).to_vec();
-    window_validity_from_result_in(tree, c, hx, hy, universe, result, scratch)
+    let (reach, around) = reach_bounds(c, hx, hy);
+    let result = tree
+        .window_split_in(&window, &reach, around, scratch)
+        .to_vec();
+    validity_phase(tree, c, (hx, hy), universe, result, true, scratch)
 }
 
-/// Second phase of [`window_with_validity`], split out so a cost harness
-/// can attribute the result query and the outer-candidate query to
-/// separate counters: takes a `result` already fetched for the window
-/// centered at `c` and issues only the extended-window query.
+/// The paper's two-query form of [`window_with_validity`], kept so a
+/// cost harness can attribute the result query and the outer-candidate
+/// query to separate counters (Fig. 34): takes a `result` already
+/// fetched for the window centered at `c` and runs the candidate phase
+/// as a descent from the root over the extended window.
 pub fn window_validity_from_result(
     tree: &RTree,
     c: Point,
@@ -153,6 +184,70 @@ pub fn window_validity_from_result_in(
     hy: f64,
     universe: Rect,
     result: Vec<Item>,
+    scratch: &mut QueryScratch,
+) -> WindowResponse {
+    validity_phase(tree, c, (hx, hy), universe, result, false, scratch)
+}
+
+/// Bounds on the extended window before it is known, as
+/// [`RTree::window_split_in`] takes them: the box `c ± 3h` and the
+/// per-result half-extents `2h`, each padded against rounding.
+///
+/// Proof. Every result point `p` lies in the window `c ± h`. The inner
+/// rectangle lies inside `p ± h` for every result `p` (clipping to the
+/// universe only shrinks it), hence inside `c ± 2h`. The extended
+/// window is the window swept over the inner rectangle, `inner ± h`, so
+/// it lies inside `p ± 2h` for every result `p`, and inside `c ± 3h`.
+/// The pad covers the few roundings between these exact bounds and the
+/// computed rectangles; it scales with the coordinates' magnitude, as
+/// those roundings do.
+pub fn reach_bounds(c: Point, hx: f64, hy: f64) -> (Rect, (f64, f64)) {
+    let pad = lbq_geom::EPS * (c.x.abs() + c.y.abs() + 3.0 * (hx + hy)).max(1.0);
+    (
+        Rect::centered(c, 3.0 * hx + pad, 3.0 * hy + pad),
+        (2.0 * hx + pad, 2.0 * hy + pad),
+    )
+}
+
+/// The extended window (paper Fig. 17): every position the window
+/// covers while its center stays inside `inner_rect`.
+fn extended_window(window: &Rect, c: Point, inner_rect: &Rect) -> Rect {
+    window.extend(
+        c.x - inner_rect.xmin,
+        inner_rect.xmax - c.x,
+        c.y - inner_rect.ymin,
+        inner_rect.ymax - c.y,
+    )
+}
+
+fn cap_counter() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    C.get_or_init(|| lbq_obs::counter("window-minimality-cap"))
+}
+
+/// Tie-break of the hole orders: id, then position. With it the
+/// unstable sorts below give one order whatever order the candidates
+/// arrive in.
+fn by_id_point(a: &Item, b: &Item) -> Ordering {
+    a.id.cmp(&b.id)
+        .then(a.point.x.total_cmp(&b.point.x))
+        .then(a.point.y.total_cmp(&b.point.y))
+}
+
+/// The validity phase shared by both forms: inner rectangle, outer
+/// candidates, their minimization and the conservative rectangle.
+/// With `from_record`, `scratch` holds what [`RTree::window_split_in`]
+/// recorded for the window at `c` with [`reach_bounds`], and the
+/// candidates resume from it (the resume debug-asserts that the
+/// extended window lies inside the final reach); without, they come
+/// from a descent from the root.
+fn validity_phase(
+    tree: &RTree,
+    c: Point,
+    (hx, hy): (f64, f64),
+    universe: Rect,
+    result: Vec<Item>,
+    from_record: bool,
     scratch: &mut QueryScratch,
 ) -> WindowResponse {
     let window = Rect::centered(c, hx, hy);
@@ -191,7 +286,7 @@ pub fn window_validity_from_result_in(
     let mut inner_influence: Vec<Item> = Vec::new();
     let push_unique = |it: Option<Item>, binding: bool, list: &mut Vec<Item>| {
         if let (Some(it), true) = (it, binding) {
-            if !list.iter().any(|o| o.id == it.id) {
+            if !list.contains(&it) {
                 list.push(it);
             }
         }
@@ -220,72 +315,91 @@ pub fn window_validity_from_result_in(
         inner_rect = u;
     }
 
-    // Query 2: outer candidates from the extended window (original
-    // window inflated to cover every position the window can reach
-    // while the client stays in the inner rectangle).
-    let extended = window.extend(
-        c.x - inner_rect.xmin,
-        inner_rect.xmax - c.x,
-        c.y - inner_rect.ymin,
-        inner_rect.ymax - c.y,
-    );
-    let candidates = tree.window_in(&extended, scratch);
+    // Outer candidates: the extended window's points outside the closed
+    // window. Resumed from the result descent's record, they are
+    // outside by construction (a recorded entry's MBR misses the
+    // window); from the root, the window's own points are filtered out
+    // by geometry.
+    let extended = extended_window(&window, c, &inner_rect);
+    let mut bufs = std::mem::take(&mut scratch.window);
+    let WindowBuffers {
+        holes,
+        kept,
+        keep,
+        others,
+        union,
+    } = &mut bufs;
+    let candidates = if from_record {
+        tree.window_resume_in(&extended, scratch)
+    } else {
+        tree.window_in(&extended, scratch)
+    };
     span.record("candidates", candidates.len());
-    let result_ids: std::collections::HashSet<u64> = result.iter().map(|i| i.id).collect();
-
     // Outer influence objects: candidates whose Minkowski region
     // overlaps the inner rectangle...
-    let mut outers: Vec<(Item, Rect)> = candidates
-        .iter()
-        .copied()
-        .filter(|it| !result_ids.contains(&it.id))
-        .filter_map(|it| {
-            Rect::centered(it.point, hx, hy)
-                .intersection(&inner_rect)
-                .filter(|ov| ov.area() > 0.0)
-                .map(|ov| (it, ov))
-        })
-        .collect();
-    // ...minimized in two passes. First, containment dominance: a hole
-    // whose clipped rect lies inside a kept hole contributes nothing.
-    // This is O(m·|kept|) and collapses the pathological case of
-    // boundary-overhanging windows, where thousands of same-size
-    // Minkowski rects nest along a thin inner rectangle.
-    outers.sort_by(|a, b| b.1.area().total_cmp(&a.1.area()).then(a.0.id.cmp(&b.0.id)));
-    let mut kept: Vec<(Item, Rect)> = Vec::new();
-    for (it, ov) in outers {
+    holes.clear();
+    holes.extend(
+        candidates
+            .iter()
+            .filter(|it| from_record || !window.contains(it.point))
+            .filter_map(|&it| {
+                Rect::centered(it.point, hx, hy)
+                    .intersection(&inner_rect)
+                    .filter(|ov| ov.area() > 0.0)
+                    .map(|ov| (it, ov))
+            }),
+    );
+    // ...minimized in two passes. First, containment dominance, largest
+    // hole first: a hole whose clipped rect lies inside a kept hole
+    // contributes nothing. This is O(m·|kept|) and collapses the
+    // pathological case of boundary-overhanging windows, where
+    // thousands of same-size Minkowski rects nest along a thin inner
+    // rectangle.
+    holes.sort_unstable_by(|a, b| {
+        b.1.area()
+            .total_cmp(&a.1.area())
+            .then_with(|| by_id_point(&a.0, &b.0))
+    });
+    kept.clear();
+    for &(it, ov) in holes.iter() {
         if !kept.iter().any(|(_, k)| k.contains_rect(&ov)) {
             kept.push((it, ov));
         }
     }
     // Second, exact union minimality (drop a hole covered by the union
     // of the others) — O(m³ log m), affordable only on the small sets
-    // dominance leaves behind; beyond the cap the influence set may be
-    // slightly non-minimal, which costs bytes, never correctness.
-    if kept.len() <= 64 {
-        kept.sort_by(|a, b| a.1.area().total_cmp(&b.1.area()));
-        let mut keep: Vec<bool> = vec![true; kept.len()];
+    // dominance leaves behind.
+    if kept.len() <= MINIMALITY_CAP {
+        kept.sort_unstable_by(|a, b| {
+            a.1.area()
+                .total_cmp(&b.1.area())
+                .then_with(|| by_id_point(&a.0, &b.0))
+        });
+        keep.clear();
+        keep.resize(kept.len(), true);
         for i in 0..kept.len() {
-            let others: Vec<Rect> = kept
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i && keep[*j])
-                .filter_map(|(_, (_, ov))| ov.intersection(&kept[i].1))
-                .collect();
-            let covered = rect_union_area(&others);
+            let hole = kept[i].1;
+            others.clear();
+            others.extend(
+                kept.iter()
+                    .zip(keep.iter())
+                    .enumerate()
+                    .filter(|&(j, (_, &k))| j != i && k)
+                    .filter_map(|(_, ((_, ov), _))| ov.intersection(&hole)),
+            );
+            let covered = rect_union_area_in(others, union);
             // lbq-check: allow(local-epsilon) — 1e-300 is an underflow guard, not a tolerance
-            if covered >= kept[i].1.area() - lbq_geom::EPS_TIGHT * kept[i].1.area().max(1e-300) {
+            if covered >= hole.area() - lbq_geom::EPS_TIGHT * hole.area().max(1e-300) {
                 keep[i] = false;
             }
         }
-        kept = kept
-            .into_iter()
-            .zip(keep)
-            .filter(|(_, k)| *k)
-            .map(|(h, _)| h)
-            .collect();
+        let mut flags = keep.iter();
+        kept.retain(|_| flags.next().copied().unwrap_or(true));
+    } else {
+        cap_counter().add(1);
     }
     let outer_influence: Vec<Item> = kept.iter().map(|(it, _)| *it).collect();
+    scratch.window = bufs;
 
     let conservative = conservative_rect(
         inner_rect,
@@ -566,6 +680,26 @@ mod tests {
             "conservative is exact here"
         );
         assert_eq!(resp.validity.outer_influence.len(), 1);
+    }
+
+    #[test]
+    fn minimality_cap_is_counted() {
+        // One result at the origin (inner rectangle [-1, 1]²) and a
+        // staircase of 100 outsiders right of the window: hole i spans
+        // x ∈ [0.95 − 0.9·i/100, 1] and y ∈ [i/100 − 1, 1], so no hole
+        // holds another and dominance keeps all 100 — above the cap.
+        let mut items = vec![Item::new(Point::new(0.0, 0.0), 0)];
+        for i in 0..100u32 {
+            let t = f64::from(i) / 100.0;
+            items.push(Item::new(Point::new(1.95 - 0.9 * t, t), u64::from(i) + 1));
+        }
+        let tree = RTree::bulk_load(items, RTreeConfig::tiny());
+        let universe = Rect::new(-10.0, -10.0, 10.0, 10.0);
+        let before = cap_counter().get();
+        let resp = window_with_validity(&tree, Point::new(0.0, 0.0), 1.0, 1.0, universe);
+        assert!(cap_counter().get() > before, "cap hit not counted");
+        assert_eq!(resp.result.len(), 1);
+        assert_eq!(resp.validity.outer_influence.len(), 100);
     }
 
     #[test]

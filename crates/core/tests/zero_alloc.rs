@@ -3,8 +3,9 @@
 //! `RTree::tp_nn_in`, `RTree::window_in`, `RTree::tp_window_in`,
 //! `knn_region_in` (the serving path's region construction) and
 //! `retrieve_influence_set_in` (the paper's TPNN chain) never touch the
-//! heap. The runtime twin of the `hot` annotations `lbq-check` verifies
-//! statically.
+//! heap, and `window_with_validity_in` allocates only its owned
+//! response. The runtime twin of the `hot` annotations `lbq-check`
+//! verifies statically.
 //!
 //! Counts come from the allocator shim shared with `lbq-obs`'s
 //! zero-allocation test and are per thread, so the test harness cannot
@@ -14,7 +15,7 @@
 mod counting_alloc;
 
 use counting_alloc::allocations;
-use lbq_core::{knn_region_in, retrieve_influence_set_in};
+use lbq_core::{knn_region_in, retrieve_influence_set_in, window_with_validity_in};
 use lbq_geom::{Point, Rect, Vec2};
 use lbq_rtree::{Item, QueryScratch, RTree, RTreeConfig};
 use std::hint::black_box;
@@ -111,5 +112,30 @@ fn warm_scratch_kernels_allocate_nothing() {
     let pass_allocs = allocs_over(200, &mut pass);
     if !cfg!(debug_assertions) {
         assert_eq!(pass_allocs, 0, "knn_region_in");
+    }
+
+    // The window pass: the split result descent, the resumed candidate
+    // descent and the minimization all run on the scratch; what is left
+    // is the owned response, one allocation per non-empty vector of
+    // `result`, `inner_influence` and `outer_influence` (at most 3; an
+    // empty window ships its nearest site as the one outer object).
+    let owned = std::cell::Cell::new(0u64);
+    let mut window_pass = |j: usize| {
+        let resp = window_with_validity_in(&tree, foci[j], H, H, universe, &mut scratch);
+        let v = &resp.validity;
+        let vectors = [
+            resp.result.len(),
+            v.inner_influence.len(),
+            v.outer_influence.len(),
+        ];
+        owned.set(owned.get() + vectors.iter().map(|&n| u64::from(n > 0)).sum::<u64>());
+    };
+    allocs_over(QUERIES, &mut window_pass);
+    owned.set(0);
+    let window_pass_allocs = allocs_over(200, &mut window_pass);
+    let owned = owned.get();
+    if !cfg!(debug_assertions) {
+        assert!(owned > 0 && owned <= 3 * 200, "owned vectors {owned}");
+        assert_eq!(window_pass_allocs, owned, "window_with_validity_in");
     }
 }

@@ -38,7 +38,7 @@ pub use halfplane::HalfPlane;
 pub use point::{orient, Point, Vec2};
 pub use polygon::ConvexPolygon;
 pub use rect::Rect;
-pub use rectunion::{rect_difference_area, rect_union_area};
+pub use rectunion::{rect_difference_area, rect_union_area, rect_union_area_in, UnionScratch};
 pub use segment::Segment;
 
 /// Default absolute tolerance for geometric predicates.

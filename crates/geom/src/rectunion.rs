@@ -10,26 +10,41 @@
 
 use crate::rect::Rect;
 
+/// Reusable sweep buffers for [`rect_union_area_in`]: the sorted slab
+/// boundaries and one slab's y-intervals. They keep their capacity
+/// across calls.
+#[derive(Debug, Clone, Default)]
+pub struct UnionScratch {
+    xs: Vec<f64>,
+    intervals: Vec<(f64, f64)>,
+}
+
 /// Area of `⋃ rects`, exact up to floating-point rounding.
+pub fn rect_union_area(rects: &[Rect]) -> f64 {
+    rect_union_area_in(rects, &mut UnionScratch::default())
+}
+
+/// [`rect_union_area`] on caller-owned sweep buffers: no allocation
+/// once they have grown to the largest input seen.
 ///
 /// Coordinate compression: sort the distinct x-coordinates, and for each
 /// vertical slab accumulate the union of y-intervals of the rectangles
-/// spanning it.
-pub fn rect_union_area(rects: &[Rect]) -> f64 {
-    let rects: Vec<&Rect> = rects.iter().filter(|r| r.area() > 0.0).collect();
-    if rects.is_empty() {
-        return 0.0;
-    }
-    let mut xs: Vec<f64> = Vec::with_capacity(rects.len() * 2);
-    for r in &rects {
+/// spanning it. Rectangles of zero area contribute nothing and are
+/// skipped.
+pub fn rect_union_area_in(rects: &[Rect], scratch: &mut UnionScratch) -> f64 {
+    let UnionScratch { xs, intervals } = scratch;
+    xs.clear();
+    for r in rects.iter().filter(|r| r.area() > 0.0) {
         xs.push(r.xmin);
         xs.push(r.xmax);
     }
-    xs.sort_by(f64::total_cmp);
+    if xs.is_empty() {
+        return 0.0;
+    }
+    xs.sort_unstable_by(f64::total_cmp);
     xs.dedup();
 
     let mut area = 0.0;
-    let mut intervals: Vec<(f64, f64)> = Vec::with_capacity(rects.len());
     for w in xs.windows(2) {
         let (x0, x1) = (w[0], w[1]);
         let width = x1 - x0;
@@ -40,10 +55,10 @@ pub fn rect_union_area(rects: &[Rect]) -> f64 {
         intervals.extend(
             rects
                 .iter()
-                .filter(|r| r.xmin <= x0 && r.xmax >= x1)
+                .filter(|r| r.area() > 0.0 && r.xmin <= x0 && r.xmax >= x1)
                 .map(|r| (r.ymin, r.ymax)),
         );
-        area += width * interval_union_len(&mut intervals);
+        area += width * interval_union_len(intervals);
     }
     area
 }
@@ -59,7 +74,7 @@ fn interval_union_len(intervals: &mut [(f64, f64)]) -> f64 {
     if intervals.is_empty() {
         return 0.0;
     }
-    intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    intervals.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let mut total = 0.0;
     let (mut lo, mut hi) = intervals[0];
     for &(a, b) in &intervals[1..] {

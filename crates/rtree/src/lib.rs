@@ -20,7 +20,10 @@
 //!   minutes to build what STR builds in a second (the measured table
 //!   is in `bulk.rs`).
 //! * **Window queries** ([`RTree::window`]) — the classic recursive
-//!   MBR-intersection descent.
+//!   MBR-intersection descent, and its split form
+//!   ([`RTree::window_split_in`], [`RTree::window_resume_in`]) for a
+//!   window nested in a larger one known only after the first answer:
+//!   the two halves read each node once.
 //! * **k-nearest-neighbor search**: the optimal best-first traversal of
 //!   Hjaltason & Samet `[HS99]` ([`RTree::knn`]), which reads exactly
 //!   the nodes whose MBR meets the final k-NN disk.
@@ -87,7 +90,7 @@ mod util;
 
 pub use bulk::DEFAULT_BULK_FILL;
 pub use node::{Item, NodeId};
-pub use scratch::QueryScratch;
+pub use scratch::{QueryScratch, WindowBuffers};
 pub use stats::{LruBuffer, Stats};
 pub use tp::{TpBound, TpEvent};
 pub use tpwin::{TpWindowChange, TpWindowEvent};

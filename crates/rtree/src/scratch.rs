@@ -18,7 +18,7 @@
 use crate::node::{Item, NodeId};
 use crate::stats::Stats;
 use crate::util::OrdF64;
-use lbq_geom::{ConvexPolygon, Point};
+use lbq_geom::{ConvexPolygon, Point, Rect, UnionScratch};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -144,6 +144,25 @@ impl CandidateSet {
     }
 }
 
+/// Working buffers of the window validity construction in `lbq-core`
+/// (its outer-candidate minimization). Plain storage: the construction
+/// clears each buffer before use and only their capacity carries over.
+#[derive(Debug, Default)]
+pub struct WindowBuffers {
+    /// Outer candidates `(item, Minkowski region ∩ inner rectangle)`.
+    pub holes: Vec<(Item, Rect)>,
+    /// The holes that survive containment dominance, then union
+    /// minimality: the outer influence objects.
+    pub kept: Vec<(Item, Rect)>,
+    /// Per-hole keep flags of the union-minimality step, parallel to
+    /// [`WindowBuffers::kept`].
+    pub keep: Vec<bool>,
+    /// The other kept holes clipped to the hole under test.
+    pub others: Vec<Rect>,
+    /// Sweep buffers of [`lbq_geom::rect_union_area_in`].
+    pub union: UnionScratch,
+}
+
 /// Reusable working storage for the tree's query algorithms.
 ///
 /// Create one per thread (it is cheap and `Send`), pass it to the `_in`
@@ -177,6 +196,16 @@ pub struct QueryScratch {
     pub(crate) out_nn: Vec<(Item, f64)>,
     /// Output buffer for item results.
     pub(crate) out_items: Vec<Item>,
+    /// Child entries `(MBR, node)` a split window query
+    /// ([`crate::RTree::window_split_in`]) rejected inside its reach,
+    /// for [`crate::RTree::window_resume_in`] to descend.
+    pub(crate) split_entries: Vec<(Rect, NodeId)>,
+    /// Leaf items the same split query read outside its window but
+    /// inside its reach.
+    pub(crate) split_items: Vec<Item>,
+    /// The same split query's final reach: the box its caller proved
+    /// holds the outer window, shrunk by every item it found.
+    pub(crate) split_reach: Option<Rect>,
     /// Vertex-confirmation ring `(vertex, confirmed)` for the
     /// validity-region construction in `lbq-core`. Hosted here so the
     /// one scratch threaded through the TPNN chain also serves the
@@ -204,6 +233,9 @@ pub struct QueryScratch {
     /// [`QueryScratch::region_polygon`]'s vertices, for the same
     /// construction.
     pub region_reach: Vec<f64>,
+    /// Working buffers of `lbq-core`'s window validity construction,
+    /// hosted here so the whole window pass runs on one scratch.
+    pub window: WindowBuffers,
     /// Per-query candidate arrays for the shared-frontier group kNN
     /// ([`crate::RTree::knn_group_in`]): slot `i` collects the best k of
     /// query `i` in the tile. Grows to the largest tile seen.

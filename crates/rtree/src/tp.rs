@@ -198,67 +198,6 @@ impl RTree {
         queue.push(Reverse((OrdF64::new(0.0), self.root)));
         let mut best: Option<TpEvent> = None;
 
-        // Greedy seed dive: walk the mindist-closest child chain to one
-        // leaf and scan it before the best-first phase. Wide-horizon
-        // queries otherwise flood the frontier with children at full
-        // `t_max` only to discard them once the first event collapses
-        // the horizon. The seed leaf is re-scanned when popped; an
-        // equal-time rediscovery is not "better" under the tie-break,
-        // so results are unchanged. Narrow queries (only one root child
-        // inside the closing-speed disk — e.g. the short vertex probes
-        // of the validity-region loop) skip the dive: their frontier
-        // never floods, so the extra leaf scan is pure overhead.
-        let wide = {
-            let root = self.node(self.root);
-            let r = (2.0 * t_max + d_max) * (1.0 + RADIAL_SLACK);
-            let keep_sq = r * r;
-            !root.is_leaf()
-                && root
-                    .mbrs
-                    .iter()
-                    .filter(|m| m.mindist_sq(q) <= keep_sq)
-                    .count()
-                    > 1
-        };
-        if wide {
-            let mut dive = self.root;
-            loop {
-                self.access(dive, probe);
-                let node = self.node(dive);
-                probe.visit(node.level);
-                if node.is_leaf() {
-                    scan_leaf(
-                        &node.items,
-                        q,
-                        dir,
-                        perp,
-                        d_max,
-                        t_max,
-                        inner,
-                        inner_d2,
-                        &mut best,
-                    );
-                    break;
-                }
-                // The mindist-closest child (strict `<`: the first
-                // minimum wins; a child containing `q` cannot be beaten).
-                let mut next = None;
-                let mut next_md = f64::INFINITY;
-                for (mbr, &child) in node.mbrs.iter().zip(&node.children) {
-                    let md = mbr.mindist_sq(q);
-                    if md < next_md {
-                        next_md = md;
-                        next = Some(child);
-                        if md <= 0.0 {
-                            break;
-                        }
-                    }
-                }
-                let Some(next) = next else { break };
-                dive = next;
-            }
-        }
-
         while let Some(Reverse((OrdF64(lb), node_id))) = queue.pop() {
             probe.pop();
             let horizon = best.as_ref().map_or(t_max, |e| e.time.min(t_max));

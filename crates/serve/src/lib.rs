@@ -244,9 +244,9 @@ pub fn answer_on(server: &LbqServer, req: &QueryReq) -> QueryAnswer {
 
 /// [`answer_on`] against a reusable [`QueryScratch`]: the engine's miss
 /// path. Every query type — the kNN plus its nearest-first region
-/// pass, or both window passes — runs on the caller's buffers, so a
-/// worker thread reusing one scratch serves steady-state misses without
-/// allocating query state.
+/// pass, or the one-traversal window pass — runs on the caller's
+/// buffers, so a worker thread reusing one scratch serves steady-state
+/// misses without allocating query state.
 pub fn answer_on_with(
     server: &LbqServer,
     req: &QueryReq,

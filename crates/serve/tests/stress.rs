@@ -395,3 +395,84 @@ fn engine_serves_coincident_and_tied_sites_their_closed_cells() {
         check(req, &resp.answer, "one batch");
     }
 }
+
+#[test]
+fn window_outsider_sharing_a_result_id_still_cuts_the_region() {
+    // Two sites share id 0: one inside the window (5, 5) ± 1, one
+    // outside whose Minkowski region [5.5, 7.5] × [4, 6] cuts the inner
+    // rectangle [4.5, 5.6] × [4.3, 6]. Outsiders are chosen by
+    // position, not by id: were the outsider dropped for sharing a
+    // result's id, the strip x ∈ [5.5, 5.6] would be accepted, and the
+    // window there holds it.
+    let items = vec![
+        lbq_rtree::Item::new(Point::new(4.6, 5.0), 0),
+        lbq_rtree::Item::new(Point::new(5.5, 5.3), 1),
+        lbq_rtree::Item::new(Point::new(6.5, 5.0), 0),
+    ];
+    let universe = Rect::new(0.0, 0.0, 10.0, 10.0);
+    let (c, h) = (Point::new(5.0, 5.0), 1.0);
+    let sites = |q: Point| {
+        let w = Rect::centered(q, h, h);
+        let mut v: Vec<(u64, u64, u64)> = items
+            .iter()
+            .filter(|it| w.contains(it.point))
+            .map(|it| (it.id, it.point.x.to_bits(), it.point.y.to_bits()))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    let answer_sites = |answer: &QueryAnswer| {
+        let QueryAnswer::Window(w) = answer else {
+            panic!("window request got a kNN answer");
+        };
+        let mut v: Vec<(u64, u64, u64)> = w
+            .result
+            .iter()
+            .map(|it| (it.id, it.point.x.to_bits(), it.point.y.to_bits()))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    // Probes off the lattice of edges, over and around the inner
+    // rectangle.
+    let probes: Vec<Point> = (0..45)
+        .flat_map(|i| (0..45).map(move |j| (i, j)))
+        .map(|(i, j)| Point::new(4.0013 + 0.05 * i as f64, 4.0029 + 0.05 * j as f64))
+        .collect();
+    let baseline = sites(c);
+    assert_eq!(baseline.len(), 2);
+    let check = |v: &lbq_core::WindowValidity, how: &str| {
+        let mut accepted = 0;
+        for &p in &probes {
+            if v.contains(p) {
+                accepted += 1;
+                assert_eq!(sites(p), baseline, "{how}: region accepts {p}");
+            }
+        }
+        assert!(accepted > 100, "{how}: region accepts {accepted} probes");
+        assert!(!v.contains(Point::new(5.58, 5.0)), "{how}: no hole");
+    };
+
+    let tree = RTree::bulk_load(items.clone(), RTreeConfig::tiny());
+    let mut scratch = QueryScratch::new();
+    let resp = lbq_core::window_with_validity_in(&tree, c, h, h, universe, &mut scratch);
+    assert_eq!(resp.validity.outer_influence.len(), 1);
+    check(&resp.validity, "window_with_validity_in");
+
+    // A default engine: the miss, then every probe behind it, so the
+    // foci inside the cached region are answered from it.
+    let server = Arc::new(LbqServer::from_items(items.clone(), universe));
+    let engine = Engine::new(server, EngineConfig::default());
+    let first = engine.submit(vec![QueryReq::window(c, h, h)]).remove(0);
+    let QueryAnswer::Window(w) = &*first.answer else {
+        panic!("window request got a kNN answer");
+    };
+    check(&w.validity, "engine");
+    let reqs: Vec<QueryReq> = probes.iter().map(|&p| QueryReq::window(p, h, h)).collect();
+    let mut hits = 0;
+    for (p, resp) in probes.iter().zip(engine.submit(reqs)) {
+        hits += usize::from(resp.from_cache);
+        assert_eq!(answer_sites(&resp.answer), sites(*p), "engine at {p}");
+    }
+    assert!(hits > 0, "no probe was answered from the cache");
+}
