@@ -628,7 +628,7 @@ pub fn fig_savings(cfg: &ExpConfig) -> Table {
 /// Ablation: loose vs exact TPNN entry bound — node accesses per
 /// influence-set retrieval and per-query wall time.
 pub fn ablation_tpnn_bound(cfg: &ExpConfig) -> Table {
-    use lbq_rtree::{Item as RItem, TpEvent};
+    use lbq_rtree::{Item as RItem, QueryScratch, TpEvent};
     let n = ((100_000.0 * cfg.scale) as usize).max(1_000);
     let data = uniform_unit(n, cfg.seed);
     let tree = build_tree(&data);
@@ -648,18 +648,20 @@ pub fn ablation_tpnn_bound(cfg: &ExpConfig) -> Table {
         let mut na = 0u64;
         let mut count = 0u64;
         let mut events = 0u64;
+        let mut scratch = QueryScratch::new();
         for &q in &queries {
             let inner: Vec<RItem> = tree.knn(q, 1).into_iter().map(|(i, _)| i).collect();
             let (found, s) = tree.with_stats(|t| {
                 let mut found = 0u64;
                 for dir_i in 0..4 {
                     let theta = dir_i as f64 * std::f64::consts::FRAC_PI_2 + 0.3;
-                    let ev: Option<TpEvent> = t.tp_knn_with_bound(
+                    let ev: Option<TpEvent> = t.tp_knn_with_bound_in(
                         q,
                         lbq_geom::Vec2::from_angle(theta),
                         0.5,
                         &inner,
                         bound,
+                        &mut scratch,
                     );
                     found += ev.is_some() as u64;
                     count += 1;

@@ -19,6 +19,5 @@
 
 pub mod figures;
 pub mod harness;
-pub mod microbench;
 
 pub use harness::{ExpConfig, Table};

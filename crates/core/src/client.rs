@@ -331,8 +331,6 @@ pub enum WindowStrategy {
     /// This paper, conservative rectangle only (constant-time check;
     /// re-queries earlier).
     LbqConservative,
-    /// `[TP02]` moving-window expiry; invalidated by direction changes.
-    TpWindow,
 }
 
 /// Replays `trajectory` under a window-monitoring strategy (window of
@@ -360,7 +358,6 @@ pub fn simulate_window(
     let cache_hits = lbq_obs::counter("client-cache-hits");
     let cache_misses = lbq_obs::counter("client-cache-misses");
     let mut lbq_cache: Option<(crate::window::WindowValidity, Vec<Item>)> = None;
-    let mut tp_cache: Option<(Vec<Item>, Option<f64>, Point, Vec2)> = None;
 
     for (step, &pos) in trajectory.iter().enumerate() {
         let truth: Vec<u64> = {
@@ -406,40 +403,6 @@ pub fn simulate_window(
                     .as_ref()
                     .expect("just filled")
                     .1
-                    .iter()
-                    .map(|i| i.id)
-                    .collect()
-            }
-            #[expect(clippy::expect_used, reason = "filled on miss above")]
-            WindowStrategy::TpWindow => {
-                let dir = trajectory
-                    .get(step + 1)
-                    .and_then(|next| pos.to(*next).normalized())
-                    .or(tp_cache.as_ref().map(|(_, _, _, d)| *d));
-                let hit = match (&tp_cache, dir) {
-                    (Some((_, expiry, origin, cached_dir)), Some(d)) => {
-                        report.validity_checks += 1;
-                        cached_dir.dot(d) > 1.0 - lbq_geom::EPS
-                            && expiry.is_none_or(|t| origin.dist(pos) < t)
-                    }
-                    _ => false,
-                };
-                note_cache(&cache_hits, &cache_misses, hit);
-                if !hit {
-                    let d = dir.unwrap_or(Vec2::new(1.0, 0.0));
-                    let horizon = universe.width().hypot(universe.height());
-                    let (result, ev) = metered_query(tree, &mut report, &latency, || {
-                        let result = tree.window(&lbq_geom::Rect::centered(pos, hx, hy));
-                        let ev = tree.tp_window(pos, d, horizon, hx, hy, &result);
-                        (result, ev)
-                    });
-                    report.objects_shipped += result.len() + 1;
-                    tp_cache = Some((result, ev.map(|e| e.time), pos, d));
-                }
-                tp_cache
-                    .as_ref()
-                    .expect("just filled")
-                    .0
                     .iter()
                     .map(|i| i.id)
                     .collect()
@@ -588,13 +551,11 @@ mod tests {
             hy,
             WindowStrategy::LbqConservative,
         );
-        let tp = simulate_window(&tree, unit(), &traj, hx, hy, WindowStrategy::TpWindow);
         assert_eq!(naive.server_queries, 201);
         assert!(lbq.server_queries < naive.server_queries / 2);
         // The conservative rectangle is a subset of the exact region:
         // it can only re-query more often.
         assert!(cons.server_queries >= lbq.server_queries);
-        assert!(tp.server_queries <= naive.server_queries);
     }
 
     #[test]

@@ -53,14 +53,12 @@ pub mod baselines;
 pub mod client;
 pub mod invariants;
 pub mod nn;
-pub mod region;
 pub mod window;
 
 pub use nn::{
     knn_region_in, retrieve_influence_set, retrieve_influence_set_in, InfluencePair, NnResponse,
     NnValidity, NnValidityRef,
 };
-pub use region::{region_with_validity, RegionResponse, RegionValidity};
 pub use window::{window_with_validity, window_with_validity_in, WindowResponse, WindowValidity};
 
 use lbq_geom::{Point, Rect};
@@ -102,6 +100,16 @@ impl LbqServer {
         self.universe
     }
 
+    /// The rectangle a region for a client at `q` is clipped to: the
+    /// smallest one covering both the universe and `q`. It is the
+    /// universe itself whenever `q` lies inside, so regions there are
+    /// unchanged; a client outside still gets a region containing it.
+    fn clip_bounds(&self, q: Point) -> Rect {
+        let mut bounds = self.universe;
+        bounds.expand_to(q);
+        bounds
+    }
+
     /// Location-based kNN (paper §3): result, influence set, validity
     /// region.
     ///
@@ -126,7 +134,7 @@ impl LbqServer {
         scratch: &mut QueryScratch,
     ) -> NnResponse {
         let (result, validity, tested) =
-            nn::knn_region_in(&self.tree, q, k, self.universe, scratch);
+            nn::knn_region_in(&self.tree, q, k, self.clip_bounds(q), scratch);
         NnResponse {
             query: q,
             result: result.to_vec(),
@@ -138,7 +146,8 @@ impl LbqServer {
     /// Location-based window query (paper §4) for a client at `c` with
     /// a window of half-extents `(hx, hy)`.
     pub fn window_with_validity(&self, c: Point, hx: f64, hy: f64) -> WindowResponse {
-        window::window_with_validity(&self.tree, c, hx, hy, self.universe)
+        let mut scratch = QueryScratch::new();
+        self.window_with_validity_in(c, hx, hy, &mut scratch)
     }
 
     /// [`LbqServer::window_with_validity`] against a reusable
@@ -150,13 +159,7 @@ impl LbqServer {
         hy: f64,
         scratch: &mut QueryScratch,
     ) -> WindowResponse {
-        window::window_with_validity_in(&self.tree, c, hx, hy, self.universe, scratch)
-    }
-
-    /// Location-based circular region query (the paper's §7 future-work
-    /// extension) for a client at `c` with search radius `r`.
-    pub fn region_with_validity(&self, c: Point, r: f64) -> RegionResponse {
-        region::region_with_validity(&self.tree, c, r, self.universe)
+        window::window_with_validity_in(&self.tree, c, hx, hy, self.clip_bounds(c), scratch)
     }
 
     /// Runs `f` against this server and returns its result together

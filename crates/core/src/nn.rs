@@ -22,7 +22,7 @@
 //! that cuts the region, up to a proven stop radius (DESIGN §3).
 
 use lbq_geom::{ConvexPolygon, HalfPlane, Point, Rect};
-use lbq_rtree::{Item, QueryScratch, RTree};
+use lbq_rtree::{Item, QueryScratch, RTree, TpBound};
 
 /// An influence pair `⟨inner, outer⟩`: the bisector of the two is an
 /// edge (or potential edge) of the validity region; `inner` belongs to
@@ -94,17 +94,6 @@ impl NnValidity {
         ids.sort_unstable();
         ids.dedup();
         ids.len()
-    }
-
-    /// The distinct influence objects (the payload actually shipped).
-    pub fn influence_objects(&self) -> Vec<Item> {
-        let mut out: Vec<Item> = Vec::new();
-        for p in &self.pairs {
-            if !out.iter().any(|o| o.id == p.outer.id) {
-                out.push(p.outer);
-            }
-        }
-        out
     }
 }
 
@@ -309,7 +298,7 @@ pub fn retrieve_influence_set_in<'s>(
         };
         let t_max = q.dist(v);
         tpnn_count += 1;
-        let event = tree.tp_knn_in(q, dir, t_max, inner, scratch);
+        let event = tree.tp_knn_with_bound_in(q, dir, t_max, inner, TpBound::Loose, scratch);
         if lbq_obs::enabled() {
             lbq_obs::event_with(
                 "tpnn-iteration",

@@ -1,7 +1,6 @@
 //! Steady-state zero allocation of the cold-path kernels: once one
 //! [`QueryScratch`] is warm on the exact call shapes, `RTree::knn_in`,
-//! `RTree::tp_nn_in`, `RTree::window_in`, `RTree::tp_window_in`,
-//! `knn_region_in` (the serving path's region construction) and
+//! `RTree::tp_knn_with_bound_in`, `RTree::window_in`, `knn_region_in` (the serving path's region construction) and
 //! `retrieve_influence_set_in` (the paper's TPNN chain) never touch the
 //! heap, and `window_with_validity_in` allocates only its owned
 //! response. The runtime twin of the `hot` annotations `lbq-check`
@@ -17,7 +16,7 @@ mod counting_alloc;
 use counting_alloc::allocations;
 use lbq_core::{knn_region_in, retrieve_influence_set_in, window_with_validity_in};
 use lbq_geom::{Point, Rect, Vec2};
-use lbq_rtree::{Item, QueryScratch, RTree, RTreeConfig};
+use lbq_rtree::{Item, QueryScratch, RTree, RTreeConfig, TpBound};
 use std::hint::black_box;
 
 const QUERIES: usize = 64;
@@ -68,25 +67,19 @@ fn warm_scratch_kernels_allocate_nothing() {
     assert_eq!(allocs_over(200, &mut knn), 0, "knn_in");
 
     let mut tpnn = |j: usize| {
-        black_box(tree.tp_nn_in(foci[j], dirs[j], T_MAX, inners[j], &mut scratch));
+        let inner = std::slice::from_ref(&inners[j]);
+        let (q, d) = (foci[j], dirs[j]);
+        black_box(tree.tp_knn_with_bound_in(q, d, T_MAX, inner, TpBound::Loose, &mut scratch));
     };
     allocs_over(QUERIES, &mut tpnn);
-    assert_eq!(allocs_over(200, &mut tpnn), 0, "tp_nn_in");
+    assert_eq!(allocs_over(200, &mut tpnn), 0, "tp_knn_with_bound_in");
 
     let window_of = |c: Point| Rect::new(c.x - H, c.y - H, c.x + H, c.y + H);
-    let results: Vec<Vec<Item>> = foci.iter().map(|&c| tree.window(&window_of(c))).collect();
     let mut window = |j: usize| {
         black_box(tree.window_in(&window_of(foci[j]), &mut scratch).len());
     };
     allocs_over(QUERIES, &mut window);
     assert_eq!(allocs_over(200, &mut window), 0, "window_in");
-
-    let mut tp_window = |j: usize| {
-        let (c, d) = (foci[j], dirs[j]);
-        black_box(tree.tp_window_in(c, d, T_MAX, H, H, &results[j], &mut scratch));
-    };
-    allocs_over(QUERIES, &mut tp_window);
-    assert_eq!(allocs_over(200, &mut tp_window), 0, "tp_window_in");
 
     // The whole region retrieval (TPNN chain + pair list + polygon
     // clipping) runs on the scratch too.

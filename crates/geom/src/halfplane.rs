@@ -91,13 +91,6 @@ impl HalfPlane {
         Vec2::new(-self.b, self.a)
     }
 
-    /// The point of the boundary line closest to the origin.
-    #[inline]
-    pub fn boundary_point(&self) -> Point {
-        // With unit normal, the line is n·x = c, closest point is c·n.
-        Point::new(self.a * self.c, self.b * self.c)
-    }
-
     /// Intersection point of the boundary lines of two half-planes, or
     /// `None` when (numerically) parallel.
     pub fn line_intersection(&self, other: &HalfPlane) -> Option<Point> {

@@ -10,7 +10,7 @@
 //!   at which a given data point lies inside the (translating) window —
 //!   a rectangle of the window's dimensions centered at the point.
 
-use crate::point::{Point, Vec2};
+use crate::point::Point;
 
 /// A closed axis-aligned rectangle `[xmin, xmax] × [ymin, ymax]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,12 +43,6 @@ impl Rect {
     #[inline]
     pub fn from_point(p: Point) -> Self {
         Rect::new(p.x, p.y, p.x, p.y)
-    }
-
-    /// Rectangle from two opposite corners given in any order.
-    #[inline]
-    pub fn from_corners(a: Point, b: Point) -> Self {
-        Rect::new(a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y))
     }
 
     /// Rectangle with center `c` and *half*-extents `hx`, `hy`.
@@ -292,61 +286,12 @@ impl Rect {
         )
     }
 
-    /// Translates the rectangle by `v`.
-    #[inline]
-    pub fn translate(&self, v: Vec2) -> Rect {
-        Rect::new(
-            self.xmin + v.x,
-            self.ymin + v.y,
-            self.xmax + v.x,
-            self.ymax + v.y,
-        )
-    }
-
     /// The **Minkowski region** of a data point `p` with respect to a
     /// window of half-extents `(hx, hy)` centered at the client: the set
     /// of client positions for which `p` falls inside the window.
     #[inline]
     pub fn minkowski_of(p: Point, hx: f64, hy: f64) -> Rect {
         Rect::centered(p, hx, hy)
-    }
-
-    /// `true` when the rectangle has (numerically) zero area.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.width() <= crate::EPS || self.height() <= crate::EPS
-    }
-
-    /// Parameter interval `[t_in, t_out]` for which the line
-    /// `origin + t·dir` lies inside the rectangle (slab method), or
-    /// `None` when the line misses it. The interval is not clamped to
-    /// `t ≥ 0`; callers decide ray semantics.
-    ///
-    /// Used by the time-parameterized *window* queries: the moving
-    /// client enters the Minkowski region of a point at `t_in` and
-    /// leaves it at `t_out`.
-    pub fn ray_interval(&self, origin: Point, dir: Vec2) -> Option<(f64, f64)> {
-        let mut t_in = f64::NEG_INFINITY;
-        let mut t_out = f64::INFINITY;
-        for (o, d, lo, hi) in [
-            (origin.x, dir.x, self.xmin, self.xmax),
-            (origin.y, dir.y, self.ymin, self.ymax),
-        ] {
-            if d.abs() <= 1e-300 {
-                if o < lo || o > hi {
-                    return None; // parallel outside the slab
-                }
-                continue;
-            }
-            let (a, b) = ((lo - o) / d, (hi - o) / d);
-            let (a, b) = if a <= b { (a, b) } else { (b, a) };
-            t_in = t_in.max(a);
-            t_out = t_out.min(b);
-            if t_in > t_out {
-                return None;
-            }
-        }
-        Some((t_in, t_out))
     }
 }
 
@@ -486,38 +431,6 @@ mod tests {
             assert_eq!(window.contains(p), inside, "client at {c}");
             assert_eq!(m.contains(c), inside, "minkowski at {c}");
         }
-    }
-
-    #[test]
-    fn ray_interval_cases() {
-        let r = Rect::new(2.0, 0.0, 4.0, 1.0);
-        // Straight through along x.
-        let (a, b) = r
-            .ray_interval(Point::new(0.0, 0.5), Vec2::new(1.0, 0.0))
-            .unwrap();
-        assert!(approx_eq(a, 2.0) && approx_eq(b, 4.0));
-        // Backwards parameterization still reported (negative t).
-        let (a, b) = r
-            .ray_interval(Point::new(5.0, 0.5), Vec2::new(1.0, 0.0))
-            .unwrap();
-        assert!(approx_eq(a, -3.0) && approx_eq(b, -1.0));
-        // Miss.
-        assert!(r
-            .ray_interval(Point::new(0.0, 5.0), Vec2::new(1.0, 0.0))
-            .is_none());
-        // Parallel inside the slab, crossing the other axis.
-        let (a, b) = r
-            .ray_interval(Point::new(3.0, -2.0), Vec2::new(0.0, 1.0))
-            .unwrap();
-        assert!(approx_eq(a, 2.0) && approx_eq(b, 3.0));
-        // Diagonal.
-        let d = Vec2::new(1.0, 0.25).normalized().unwrap();
-        let (a, b) = r.ray_interval(Point::new(0.0, 0.0), d).unwrap();
-        assert!(a < b && a > 0.0);
-        // Entry/exit points really are on the boundary.
-        let pin = Point::new(0.0, 0.0) + d * a;
-        let pout = Point::new(0.0, 0.0) + d * b;
-        assert!(r.contains_eps(pin, 1e-9) && r.contains_eps(pout, 1e-9));
     }
 
     #[test]

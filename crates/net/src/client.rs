@@ -16,7 +16,6 @@ use std::time::Duration;
 pub struct NetClient {
     stream: TcpStream,
     buf: Vec<u8>,
-    max_payload: u32,
 }
 
 impl NetClient {
@@ -28,15 +27,7 @@ impl NetClient {
         Ok(NetClient {
             stream,
             buf: Vec::with_capacity(4096),
-            max_payload: DEFAULT_CLIENT_MAX_PAYLOAD,
         })
-    }
-
-    /// Replaces the response payload cap
-    /// ([`DEFAULT_CLIENT_MAX_PAYLOAD`] by default).
-    pub fn with_max_payload(mut self, max_payload: u32) -> NetClient {
-        self.max_payload = max_payload;
-        self
     }
 
     /// Bounds how long [`NetClient::recv`] blocks (`None` = forever).
@@ -82,7 +73,7 @@ impl NetClient {
     pub fn recv_raw(&mut self) -> std::io::Result<(Frame, Vec<u8>)> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            match decode_frame(&self.buf, self.max_payload) {
+            match decode_frame(&self.buf, DEFAULT_CLIENT_MAX_PAYLOAD) {
                 Ok(Decoded::Frame { frame, consumed }) => {
                     let raw = self.buf[..consumed].to_vec();
                     self.buf.drain(..consumed);

@@ -34,7 +34,7 @@
 //!   construction (its Section 3).
 //! * **Zero-allocation query mode**: every query algorithm has a
 //!   `_in(&mut QueryScratch)` variant ([`RTree::knn_in`],
-//!   [`RTree::window_in`], [`RTree::tp_knn_in`], …) that reuses
+//!   [`RTree::window_in`], [`RTree::tp_knn_with_bound_in`], …) that reuses
 //!   caller-owned working buffers, so a warmed-up query performs zero
 //!   heap allocations. Nodes are stored struct-of-arrays (parallel
 //!   MBR/child arrays, plain item arrays in leaves) so the scan loops
@@ -56,10 +56,9 @@
 //! nest such scopes rather than resetting any global counter.
 //!
 //! Every public query entry point additionally opens an `lbq_obs` span
-//! (`rtree-knn`, `rtree-window`, `rtree-tpnn`, `rtree-tp-window`)
-//! carrying per-query NA/PA, heap pops, depth reached and buffer hit
-//! rate, and feeds the global
-//! `rtree-node-accesses` / `rtree-page-faults` counters. With no
+//! (`rtree-knn`, `rtree-window`, `rtree-tpnn`) carrying per-query
+//! NA/PA, heap pops, depth reached and buffer hit rate, and feeds the
+//! global `rtree-node-accesses` / `rtree-page-faults` counters. With no
 //! subscriber installed the hooks cost a handful of integer ops per
 //! query (see DESIGN.md §9).
 
@@ -84,7 +83,6 @@ mod query;
 mod scratch;
 mod stats;
 mod tp;
-mod tpwin;
 mod tree;
 mod util;
 
@@ -93,7 +91,6 @@ pub use node::{Item, NodeId};
 pub use scratch::{QueryScratch, WindowBuffers};
 pub use stats::{LruBuffer, Stats};
 pub use tp::{TpBound, TpEvent};
-pub use tpwin::{TpWindowChange, TpWindowEvent};
 pub use tree::RTree;
 pub use util::OrdF64;
 

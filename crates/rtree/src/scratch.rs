@@ -167,7 +167,7 @@ pub struct WindowBuffers {
 ///
 /// Create one per thread (it is cheap and `Send`), pass it to the `_in`
 /// query variants (`RTree::knn_in`, `RTree::window_in`,
-/// `RTree::tp_knn_in`, …), and reuse it across queries: after a warm-up
+/// `RTree::tp_knn_with_bound_in`, …), and reuse it across queries: after a warm-up
 /// call every buffer holds enough capacity and subsequent queries touch
 /// the allocator zero times. A scratch carries no query state between
 /// calls — every algorithm resets the buffers it uses — so interleaving

@@ -63,7 +63,7 @@ pub struct TpEvent {
     pub time: f64,
 }
 
-/// Subtree pruning bound used by [`RTree::tp_knn_with_bound`].
+/// Subtree pruning bound used by [`RTree::tp_knn_with_bound_in`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TpBound {
     /// O(1) closing-speed bound (default).
@@ -74,65 +74,20 @@ pub enum TpBound {
 }
 
 impl RTree {
-    /// TPNN for a single nearest neighbor: the current NN is `inner`,
-    /// and the query moves from `q` along unit `dir`. Returns the first
-    /// result change within `t_max`, or `None` if the result is stable
-    /// throughout `[0, t_max]`.
-    pub fn tp_nn(&self, q: Point, dir: Vec2, t_max: f64, inner: Item) -> Option<TpEvent> {
-        self.tp_knn(q, dir, t_max, std::slice::from_ref(&inner))
-    }
-
-    /// [`RTree::tp_nn`] against a reusable scratch: zero steady-state
-    /// allocations.
-    pub fn tp_nn_in(
-        &self,
-        q: Point,
-        dir: Vec2,
-        t_max: f64,
-        inner: Item,
-        scratch: &mut QueryScratch,
-    ) -> Option<TpEvent> {
-        self.tp_knn_in(q, dir, t_max, std::slice::from_ref(&inner), scratch)
-    }
-
-    /// TPkNN with the default (loose) pruning bound.
-    pub fn tp_knn(&self, q: Point, dir: Vec2, t_max: f64, inner: &[Item]) -> Option<TpEvent> {
-        self.tp_knn_with_bound(q, dir, t_max, inner, TpBound::Loose)
-    }
-
-    /// [`RTree::tp_knn`] against a reusable scratch: zero steady-state
-    /// allocations.
-    pub fn tp_knn_in(
-        &self,
-        q: Point,
-        dir: Vec2,
-        t_max: f64,
-        inner: &[Item],
-        scratch: &mut QueryScratch,
-    ) -> Option<TpEvent> {
-        self.tp_knn_with_bound_in(q, dir, t_max, inner, TpBound::Loose, scratch)
-    }
-
-    /// TPkNN: finds the outer object with minimum influence time w.r.t.
-    /// the current result `inner`, searching only `t ∈ [0, t_max]`.
+    /// TPkNN with the default (loose) pruning bound and a fresh scratch:
+    /// finds the outer object with minimum influence time w.r.t. the
+    /// current result `inner`, searching only `t ∈ [0, t_max]`.
     ///
     /// `dir` must be (approximately) unit length — influence times are
     /// *distances traveled*, which is what the location-based algorithms
     /// compare against vertex distances.
-    pub fn tp_knn_with_bound(
-        &self,
-        q: Point,
-        dir: Vec2,
-        t_max: f64,
-        inner: &[Item],
-        bound: TpBound,
-    ) -> Option<TpEvent> {
+    pub fn tp_knn(&self, q: Point, dir: Vec2, t_max: f64, inner: &[Item]) -> Option<TpEvent> {
         let mut scratch = QueryScratch::new();
-        self.tp_knn_with_bound_in(q, dir, t_max, inner, bound, &mut scratch)
+        self.tp_knn_with_bound_in(q, dir, t_max, inner, TpBound::Loose, &mut scratch)
     }
 
-    /// [`RTree::tp_knn_with_bound`] against a reusable scratch: zero
-    /// steady-state allocations.
+    /// [`RTree::tp_knn`] with a chosen pruning bound, against a
+    /// reusable scratch: zero steady-state allocations.
     pub fn tp_knn_with_bound_in(
         &self,
         q: Point,
@@ -643,11 +598,27 @@ mod tests {
         let q = Point::new(0.5, 0.5);
         let inner: Vec<Item> = tree.knn(q, 4).into_iter().map(|(i, _)| i).collect();
         let dir = Vec2::new(0.8, -0.6);
-        let (loose, loose_stats) =
-            tree.with_stats(|t| t.tp_knn_with_bound(q, dir, 1.0, &inner, TpBound::Loose));
+        let (loose, loose_stats) = tree.with_stats(|t| {
+            t.tp_knn_with_bound_in(
+                q,
+                dir,
+                1.0,
+                &inner,
+                TpBound::Loose,
+                &mut QueryScratch::new(),
+            )
+        });
         let loose_na = loose_stats.node_accesses;
-        let (exact, exact_stats) =
-            tree.with_stats(|t| t.tp_knn_with_bound(q, dir, 1.0, &inner, TpBound::Exact));
+        let (exact, exact_stats) = tree.with_stats(|t| {
+            t.tp_knn_with_bound_in(
+                q,
+                dir,
+                1.0,
+                &inner,
+                TpBound::Exact,
+                &mut QueryScratch::new(),
+            )
+        });
         let exact_na = exact_stats.node_accesses;
         let want = brute_tp(&items, q, dir, 1.0, &inner);
         assert_eq!(loose.map(|e| e.object.id), want.map(|e| e.object.id));

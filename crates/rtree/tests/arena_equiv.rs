@@ -8,7 +8,7 @@
 
 use lbq_geom::{Point, Rect, Vec2};
 use lbq_rng::Xoshiro256ss;
-use lbq_rtree::{Item, QueryScratch, RTree, RTreeConfig};
+use lbq_rtree::{Item, QueryScratch, RTree, RTreeConfig, TpBound};
 
 fn rand_items(rng: &mut Xoshiro256ss, n: usize) -> Vec<Item> {
     (0..n)
@@ -109,8 +109,8 @@ fn assert_stream_equiv(a: &RTree, b: &RTree, rng: &mut Xoshiro256ss, ctx: &str) 
                 let inner: Vec<Item> = a.knn_in(q, k, &mut sa).iter().map(|&(i, _)| i).collect();
                 let dir = rand_dir(rng);
                 let t_max = rng.gen_range(0.05..2.0);
-                let ea = a.tp_knn_in(q, dir, t_max, &inner, &mut sa);
-                let eb = b.tp_knn_in(q, dir, t_max, &inner, &mut sb);
+                let ea = a.tp_knn_with_bound_in(q, dir, t_max, &inner, TpBound::Loose, &mut sa);
+                let eb = b.tp_knn_with_bound_in(q, dir, t_max, &inner, TpBound::Loose, &mut sb);
                 match (ea, eb) {
                     (None, None) => {}
                     (Some(x), Some(y)) => {

@@ -102,7 +102,8 @@ fn tp_knn_in_bit_identical_for_both_bounds() {
             let k = rng.gen_range(1..5usize);
             let inner: Vec<Item> = tree.knn(q, k).into_iter().map(|(i, _)| i).collect();
             for bound in [TpBound::Loose, TpBound::Exact] {
-                let plain = tree.tp_knn_with_bound(q, dir, t_max, &inner, bound);
+                let mut fresh = QueryScratch::new();
+                let plain = tree.tp_knn_with_bound_in(q, dir, t_max, &inner, bound, &mut fresh);
                 let reused = tree.tp_knn_with_bound_in(q, dir, t_max, &inner, bound, &mut scratch);
                 match (plain, reused) {
                     (None, None) => {}
@@ -119,37 +120,6 @@ fn tp_knn_in_bit_identical_for_both_bounds() {
                     }
                     (p, s) => panic!("tp case {case} {bound:?}: {p:?} vs {s:?}"),
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn tp_window_in_bit_identical() {
-    let mut rng = Xoshiro256ss::seed_from_u64(0x7B317D0);
-    for config in configs() {
-        let tree = RTree::bulk_load(rand_items(&mut rng, 500), config);
-        let mut scratch = QueryScratch::new();
-        for case in 0..40 {
-            let c = Point::new(rng.gen_range(0.1..0.9), rng.gen_range(0.1..0.9));
-            let (hx, hy) = (rng.gen_range(0.01..0.2), rng.gen_range(0.01..0.2));
-            let dir = rand_dir(&mut rng);
-            let t_max = rng.gen_range(0.01..1.0);
-            let result = tree.window(&Rect::centered(c, hx, hy));
-            let plain = tree.tp_window(c, dir, t_max, hx, hy, &result);
-            let reused = tree.tp_window_in(c, dir, t_max, hx, hy, &result, &mut scratch);
-            match (plain, reused) {
-                (None, None) => {}
-                (Some(p), Some(s)) => {
-                    assert_eq!(p.object.id, s.object.id, "tpwin case {case}");
-                    assert_eq!(p.change, s.change, "tpwin case {case}");
-                    assert_eq!(
-                        p.time.to_bits(),
-                        s.time.to_bits(),
-                        "tpwin case {case}: time bits"
-                    );
-                }
-                (p, s) => panic!("tpwin case {case}: {p:?} vs {s:?}"),
             }
         }
     }
@@ -184,7 +154,8 @@ fn one_scratch_across_mixed_query_stream() {
                 let dir = rand_dir(&mut rng);
                 let inner: Vec<Item> = tree.knn(q, 2).into_iter().map(|(i, _)| i).collect();
                 let plain = tree.tp_knn(q, dir, 0.5, &inner);
-                let reused = tree.tp_knn_in(q, dir, 0.5, &inner, &mut scratch);
+                let reused =
+                    tree.tp_knn_with_bound_in(q, dir, 0.5, &inner, TpBound::Loose, &mut scratch);
                 assert_eq!(
                     plain.map(|e| (e.object.id, e.time.to_bits())),
                     reused.map(|e| (e.object.id, e.time.to_bits())),

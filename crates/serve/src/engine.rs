@@ -403,31 +403,6 @@ impl Engine {
         }
         t
     }
-
-    /// Renders the aggregate per-stage latency table — the `stage-*`
-    /// histograms fed by per-query attribution. All counts stay zero
-    /// until recording is armed ([`lbq_obs::init_recorder`]).
-    pub fn stage_table(&self) -> lbq_obs::ProfileTable {
-        let mut t = lbq_obs::ProfileTable::new(
-            "lbq-serve stages",
-            &["stage", "count", "p50", "p95", "p99", "mean"],
-        );
-        for (name, h) in lbq_obs::STAGE_NAMES
-            .iter()
-            .zip(lbq_obs::stage_histograms().iter())
-        {
-            let s = h.summary();
-            t.row(&[
-                (*name).to_string(),
-                s.count.to_string(),
-                lbq_obs::fmt_ns(s.p50_ns),
-                lbq_obs::fmt_ns(s.p95_ns),
-                lbq_obs::fmt_ns(s.p99_ns),
-                lbq_obs::fmt_ns(s.mean_ns),
-            ]);
-        }
-        t
-    }
 }
 
 /// One pool job: a Hilbert-adjacent tile of queries served on one

@@ -476,3 +476,87 @@ fn window_outsider_sharing_a_result_id_still_cuts_the_region() {
     }
     assert!(hits > 0, "no probe was answered from the cache");
 }
+
+#[test]
+fn focus_outside_the_universe_gets_a_region_containing_it() {
+    // Sites on a 25-unit lattice over [1e6, 1e6 + 500] × [2e6, 2e6 + 500];
+    // every focus lies left of that universe. Clipped to the universe
+    // alone, the kNN cell and the window's inner rectangle of the near
+    // focus exclude it, and the far focus's window collapses to a point.
+    let (x0, y0) = (1e6, 2e6);
+    let items: Vec<lbq_rtree::Item> = lattice(20, 0.5)
+        .into_iter()
+        .map(|it| {
+            let p = Point::new(x0 + 25.0 * it.point.x, y0 + 25.0 * it.point.y);
+            lbq_rtree::Item::new(p, it.id)
+        })
+        .collect();
+    let universe = Rect::new(x0, y0, x0 + 500.0, y0 + 500.0);
+    let server = Arc::new(LbqServer::from_items(items.clone(), universe));
+    let (k, h) = (3, 20.0);
+    let brute = |req: &QueryReq, p: Point| -> Vec<u64> {
+        let mut ids: Vec<u64> = match *req {
+            QueryReq::Knn { .. } => {
+                let mut by_dist: Vec<(f64, u64)> = items
+                    .iter()
+                    .map(|it| (p.dist_sq(it.point), it.id))
+                    .collect();
+                by_dist.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                by_dist.into_iter().take(k).map(|(_, id)| id).collect()
+            }
+            QueryReq::Window { hx, hy, .. } => {
+                let w = Rect::centered(p, hx, hy);
+                items
+                    .iter()
+                    .filter(|it| w.contains(it.point))
+                    .map(|it| it.id)
+                    .collect()
+            }
+        };
+        ids.sort_unstable();
+        ids
+    };
+    // The answer at the focus, then soundness at off-lattice probes
+    // around it: wherever the region holds, the brute-force answer
+    // there is the one shipped.
+    let check = |req: &QueryReq, answer: &QueryAnswer, how: &str| {
+        let focus = req.focus();
+        assert!(answer.valid_at(focus), "{how}: region excludes {focus}");
+        assert_eq!(answer.result_ids(), brute(req, focus), "{how}: answer");
+        for (i, j) in (0..41).flat_map(|i| (0..41).map(move |j| (i, j))) {
+            let p = Point::new(
+                focus.x - 60.0 + 3.0013 * f64::from(i),
+                focus.y - 60.0 + 3.0029 * f64::from(j),
+            );
+            if answer.valid_at(p) {
+                assert_eq!(
+                    brute(req, p),
+                    answer.result_ids(),
+                    "{how}: region accepts {p}"
+                );
+            }
+        }
+    };
+    let near = Point::new(x0 - 3.0, y0 + 100.0);
+    let far = Point::new(x0 - 300.0, y0 + 250.0);
+    let reqs = [
+        QueryReq::knn(near, k),
+        QueryReq::window(near, h, h),
+        QueryReq::knn(far, k),
+        QueryReq::window(far, h, h),
+    ];
+    let mut scratch = QueryScratch::new();
+    let engine = Engine::new(Arc::clone(&server), EngineConfig::default());
+    for req in &reqs {
+        let direct = match *req {
+            QueryReq::Knn { q, k } => {
+                QueryAnswer::Knn(server.knn_with_validity_in(q, k, &mut scratch))
+            }
+            QueryReq::Window { c, hx, hy } => {
+                QueryAnswer::Window(server.window_with_validity_in(c, hx, hy, &mut scratch))
+            }
+        };
+        check(req, &direct, "_with_validity_in");
+        check(req, &engine.submit(vec![*req])[0].answer, "engine");
+    }
+}

@@ -141,22 +141,6 @@ impl Delaunay {
         self.points[i]
     }
 
-    /// Scratch variant of [`Delaunay::voronoi_cell`]: writes the cell
-    /// into `out`, reusing `buf` as the clip working set — allocation
-    /// free once both have warmed to capacity.
-    // lbq-check: hot — cell construction on the serve hot tier.
-    pub fn voronoi_cell_in(&self, i: usize, out: &mut ConvexPolygon, buf: &mut Vec<Point>) {
-        let rep = self.dup[i];
-        let site = self.points[rep];
-        out.assign_rect(&self.universe);
-        for &nb in &self.adjacency[rep] {
-            if out.is_empty() {
-                break;
-            }
-            out.clip_in_place(&HalfPlane::bisector(site, self.points[nb]), buf);
-        }
-    }
-
     /// All alive triangles as site-index triples (super-triangle
     /// incident triangles excluded).
     pub fn triangles(&self) -> Vec<[usize; 3]> {

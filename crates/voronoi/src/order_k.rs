@@ -1,10 +1,9 @@
 //! Order-k machinery over the Delaunay adjacency graph: a greedy
-//! point-location walk, exact k-nearest-site enumeration, and order-k
-//! Voronoi cell construction. This is the geometry behind the
-//! hot-tile fast path in `lbq-serve` (see `crates/serve/src/hot.rs`):
-//! the walk + expansion locate a query's candidate k-set in
-//! `O(k log k)` expected time over a tile-local site set, and the
-//! order-k cell is the exact region where that k-set stays the answer.
+//! point-location walk and exact k-nearest-site enumeration. This is
+//! the geometry behind the hot-tile fast path in `lbq-serve` (see
+//! `crates/serve/src/hot.rs`): the walk + expansion locate a query's
+//! candidate k-set in `O(k log k)` expected time over a tile-local
+//! site set.
 //!
 //! Correctness notes, referenced by the doc comments below:
 //!
@@ -24,26 +23,13 @@
 //!   a best-first expansion seeded at the nearest site (Dijkstra over
 //!   `d(q,·)` as the priority) pops sites in exact nondecreasing
 //!   distance order — the first `k` pops are the `k` nearest sites.
-//!
-//! * **Order-k cell.** The order-k cell of a member set `S` is
-//!   `⋂ { H(s,o) : s ∈ S, o ∉ S }` where `H(s,o)` is the closed
-//!   half-plane of points at least as close to `s` as to `o`. Clipping
-//!   by any subset of those half-planes yields a superset polygon;
-//!   once every polygon vertex verifiably satisfies
-//!   `max_{s∈S} d(v,s) ≤ min_{o∉S} d(v,o)` the polygon's convex hull —
-//!   the polygon itself — lies inside the true cell, so superset and
-//!   subset coincide and the construction is exact (up to the
-//!   verification epsilon). Candidate generation starts from the
-//!   Delaunay neighborhoods of `S` and grows by the violating site of
-//!   each failed vertex check, which terminates because each round
-//!   admits at least one never-seen site.
 
 use crate::delaunay::Delaunay;
-use lbq_geom::{ConvexPolygon, HalfPlane, Point};
+use lbq_geom::Point;
 
-/// Reusable scratch for the order-k entry points — heap, visited
-/// marks, candidate set, and clip buffers. One instance per worker
-/// thread keeps the hot lookups allocation-free at steady state.
+/// Reusable scratch for the order-k entry points — heap and visited
+/// marks. One instance per worker thread keeps the hot lookups
+/// allocation-free at steady state.
 ///
 /// Marks are epoch-stamped: `begin` bumps the epoch instead of
 /// clearing, so reuse across calls costs O(1).
@@ -54,13 +40,6 @@ pub struct OrderKScratch {
     /// Epoch stamps: `visited[s] == visit_epoch` ⇔ `s` already heaped.
     visited: Vec<u32>,
     visit_epoch: u32,
-    /// Epoch stamps for membership in the current member set `S`.
-    member: Vec<u32>,
-    member_epoch: u32,
-    /// Accepted outside-site candidates for cell clipping.
-    cand: Vec<u32>,
-    /// Clip working set for [`ConvexPolygon::clip_in_place`].
-    clip: Vec<Point>,
     /// Walk hint: the site the previous query resolved to. Consecutive
     /// nearby queries (the hot-tile access pattern) start their walk
     /// one or two hops from the answer.
@@ -82,28 +61,12 @@ impl OrderKScratch {
         self.heap.clear();
     }
 
-    /// Prepares the member marks for a triangulation of `n` sites.
-    fn begin_member(&mut self, n: usize) {
-        if self.member.len() < n {
-            self.member.resize(n, 0);
-        }
-        self.member_epoch = self.member_epoch.wrapping_add(1);
-        if self.member_epoch == 0 {
-            self.member.iter_mut().for_each(|m| *m = 0);
-            self.member_epoch = 1;
-        }
-    }
-
     fn visit(&mut self, s: usize) -> bool {
         if self.visited[s] == self.visit_epoch {
             return false;
         }
         self.visited[s] = self.visit_epoch;
         true
-    }
-
-    fn is_member(&self, s: usize) -> bool {
-        self.member[s] == self.member_epoch
     }
 
     /// Pushes `(key, site)` maintaining the min-heap invariant on `.0`.
@@ -233,120 +196,6 @@ impl Delaunay {
         let mut out = Vec::new();
         self.k_nearest_sites_in(q, k, &mut scratch, &mut out);
         out
-    }
-
-    /// The order-k Voronoi cell of the member set `members` (site
-    /// indices; duplicates resolve to representatives), clipped to the
-    /// universe, written into `out`. Empty output means the set is not
-    /// the k-nearest set of any point in the universe.
-    ///
-    /// Construction: clip the universe by the bisector half-planes
-    /// from every member toward a growing candidate set of outside
-    /// sites (seeded with the members' Delaunay neighborhoods), then
-    /// verify every polygon vertex against its true nearest outside
-    /// site via best-first search; a violated vertex admits the
-    /// violating site as a new candidate and the clip repeats. The
-    /// fixpoint is the exact cell — see the module-level order-k note.
-    // lbq-check: hot — cell materialization for promoted tiles.
-    pub fn order_k_cell_in(
-        &self,
-        members: &[usize],
-        scratch: &mut OrderKScratch,
-        out: &mut ConvexPolygon,
-    ) {
-        out.assign_rect(&self.universe);
-        if members.is_empty() {
-            return;
-        }
-        scratch.begin_member(self.n_sites);
-        let epoch = scratch.member_epoch;
-        for &m in members {
-            scratch.member[self.dup[m]] = epoch;
-        }
-        // Seed candidates: the Delaunay neighborhoods of the members.
-        scratch.cand.clear();
-        let mut cand_from = 0;
-        for &m in members {
-            let rep = self.dup[m];
-            for &o in &self.adjacency[rep] {
-                if !scratch.is_member(o) && !scratch.cand_has(o) {
-                    scratch.cand.push(sat_u32(o));
-                }
-            }
-        }
-        let scale = self.universe.width().max(self.universe.height()).max(1.0);
-        let eps = lbq_geom::EPS * scale;
-        loop {
-            // Clip by every (member, new-candidate) bisector.
-            for ci in cand_from..scratch.cand.len() {
-                let o = self.points[scratch.cand[ci] as usize];
-                for &m in members {
-                    if out.is_empty() {
-                        return;
-                    }
-                    let s = self.points[self.dup[m]];
-                    out.clip_in_place(&HalfPlane::bisector(s, o), &mut scratch.clip);
-                }
-            }
-            cand_from = scratch.cand.len();
-            // Verify vertices; admit the violating site of the worst
-            // failure (if any) and go again.
-            let mut grew = false;
-            for vi in 0..out.len() {
-                let v = out.vertices()[vi];
-                let far = members
-                    .iter()
-                    .map(|&m| v.dist(self.points[self.dup[m]]))
-                    .fold(0.0_f64, f64::max);
-                if let Some(o) = self.nearest_outside(v, scratch) {
-                    if v.dist(self.points[o]) + eps < far && !scratch.cand_has(o) {
-                        scratch.cand.push(sat_u32(o));
-                        grew = true;
-                    }
-                }
-            }
-            if !grew {
-                return;
-            }
-        }
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`Delaunay::order_k_cell_in`].
-    pub fn order_k_cell(&self, members: &[usize]) -> ConvexPolygon {
-        let mut scratch = OrderKScratch::default();
-        let mut out = ConvexPolygon::empty();
-        self.order_k_cell_in(members, &mut scratch, &mut out);
-        out
-    }
-
-    /// The nearest site of `v` outside the current member set: pops
-    /// the best-first expansion until a non-member surfaces.
-    fn nearest_outside(&self, v: Point, scratch: &mut OrderKScratch) -> Option<usize> {
-        let start = self.nearest_site_walk(v, scratch.hint)?;
-        scratch.begin_visit(self.n_sites);
-        scratch.visit(start);
-        scratch.heap_push(v.dist_sq(self.points[start]), sat_u32(start));
-        while let Some((_, s)) = scratch.heap_pop() {
-            let s = s as usize;
-            if !scratch.is_member(s) {
-                return Some(s);
-            }
-            for &nb in &self.adjacency[s] {
-                if scratch.visit(nb) {
-                    scratch.heap_push(v.dist_sq(self.points[nb]), sat_u32(nb));
-                }
-            }
-        }
-        None
-    }
-}
-
-impl OrderKScratch {
-    /// Candidate-set dedup — a linear scan; the candidate set stays
-    /// within a small multiple of `k` in practice.
-    fn cand_has(&self, s: usize) -> bool {
-        self.cand.iter().any(|&c| c as usize == s)
     }
 }
 
