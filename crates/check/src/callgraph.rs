@@ -448,17 +448,20 @@ mod tests {
         let (ix, cg) = graph(&[
             (
                 "crates/rtree/src/x.rs",
-                "pub fn q_in() { mutate(); span(); }\n\
+                "pub fn q_in() { mutate(); record_query(); }\n\
                  // lbq-check: cold — mutation path\nfn mutate() { deep(); }\nfn deep() {}",
             ),
             (
                 "crates/obs/src/t.rs",
-                "pub fn span() { alloc_here(); }\nfn alloc_here() {}",
+                "pub fn record_query() { alloc_here(); }\nfn alloc_here() {}",
             ),
         ]);
         assert!(cg.hot[fn_idx(&ix, "mutate")].is_none(), "cold annotation");
         assert!(cg.hot[fn_idx(&ix, "deep")].is_none(), "behind the barrier");
-        assert!(cg.hot[fn_idx(&ix, "span")].is_none(), "obs boundary");
+        assert!(
+            cg.hot[fn_idx(&ix, "record_query")].is_none(),
+            "obs boundary"
+        );
         assert!(cg.hot[fn_idx(&ix, "alloc_here")].is_none());
     }
 

@@ -268,15 +268,15 @@ mod tests {
     #[test]
     fn obs_span_name_hits_bad_names() {
         assert_eq!(
-            rules_hit(LIB, "fn f() { let _s = lbq_obs::span(\"BadName\"); }"),
+            rules_hit(LIB, "fn f() { let _c = lbq_obs::counter(\"BadName\"); }"),
             ["obs-span-name"]
         );
         assert_eq!(
-            rules_hit(LIB, "fn f() { let _s = lbq_obs::span(\"ends-\"); }"),
+            rules_hit(LIB, "fn f() { let _h = lbq_obs::histogram(\"ends-\"); }"),
             ["obs-span-name"]
         );
         assert_eq!(
-            rules_hit(LIB, "fn f() { let _s = lbq_obs::span(\"double--dash\"); }"),
+            rules_hit(LIB, "fn f() { let _g = lbq_obs::gauge(\"double--dash\"); }"),
             ["obs-span-name"]
         );
         // Dynamic names defeat grep; the rule demands a literal.
@@ -288,10 +288,12 @@ mod tests {
             ["obs-span-name"]
         );
         assert_eq!(
-            rules_hit(LIB, "fn f() { lbq_obs::event(concat!(\"a\", \"b\")); }"),
+            rules_hit(
+                LIB,
+                "fn f() { let _h = lbq_obs::histogram(concat!(\"a\", \"b\")); }"
+            ),
             ["obs-span-name"]
         );
-        // The v2 observability registries are named the same way.
         assert_eq!(
             rules_hit(LIB, "fn f() { let _h = lbq_obs::heatmap(\"HotTiles\"); }"),
             ["obs-span-name"]
@@ -307,15 +309,15 @@ mod tests {
 
     #[test]
     fn obs_span_name_accepts_kebab_literals_and_exempts_obs() {
-        assert!(rules_hit(LIB, "fn f() { let _s = lbq_obs::span(\"rtree-knn\"); }").is_empty());
         assert!(rules_hit(
             LIB,
             "fn f() { let _c = lbq_obs::counter(\"cache-hits2\"); }"
         )
         .is_empty());
+        assert!(rules_hit(LIB, "fn f() { let _g = lbq_obs::gauge(\"hot-cells\"); }").is_empty());
         assert!(rules_hit(
             LIB,
-            "fn f() { lbq_obs::event_with(\"tpnn-iteration\", []); }"
+            "fn f() { let _h = lbq_obs::histogram(\"tpnn-chain\"); }"
         )
         .is_empty());
         assert!(rules_hit(
@@ -335,11 +337,11 @@ mod tests {
         );
         // Unrelated paths/functions don't trip the rule.
         assert!(rules_hit(LIB, "fn f() { let _s = tracing::span(\"Whatever\"); }").is_empty());
-        assert!(rules_hit(LIB, "fn f() { let _ = lbq_obs::enabled(); }").is_empty());
+        assert!(rules_hit(LIB, "fn f() { let _ = lbq_obs::recording(); }").is_empty());
         // The obs crate itself is exempt (its tests use throwaway names).
         assert!(rules_hit(
-            "crates/obs/src/trace.rs",
-            "fn f() { let _s = lbq_obs::span(\"NotKebab\"); }"
+            "crates/obs/src/metrics.rs",
+            "fn f() { let _c = lbq_obs::counter(\"NotKebab\"); }"
         )
         .is_empty());
         // Allow comment escape hatch.

@@ -6,7 +6,7 @@
 //! | rule | meaning |
 //! |------|---------|
 //! | `local-epsilon` | no literal epsilons (1e-12 ..= 1e-6) outside the approved epsilon module |
-//! | `obs-span-name` | `lbq_obs` span/event/metric/heatmap/snapshot-field names are kebab-case string literals |
+//! | `obs-span-name` | `lbq_obs` metric/heatmap/snapshot-field names are kebab-case string literals |
 //!
 //! What rustc and clippy check with types — exact float comparison,
 //! panics in library code, narrowing casts, public docs, reasonless
@@ -236,10 +236,9 @@ fn local_epsilon(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `obs-span-name`: the name argument of `lbq_obs::span` /
-/// `event` / `event_with` / `counter` / `gauge` / `histogram` /
-/// `heatmap` / `snapshot_field` must be a kebab-case string literal, so
-/// trace, metric, heatmap, and snapshot-field names stay greppable,
+/// `obs-span-name`: the name argument of `lbq_obs::counter` / `gauge` /
+/// `histogram` / `heatmap` / `snapshot_field` must be a kebab-case
+/// string literal, so metric, heatmap, and snapshot-field names stay greppable,
 /// stable, and collision-free across the workspace. The obs crate
 /// itself (whose tests exercise the machinery with throwaway names) is
 /// exempt.
@@ -247,16 +246,7 @@ fn obs_span_name(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     if ctx.path.starts_with("crates/obs/") {
         return;
     }
-    const NAMED_FNS: [&str; 8] = [
-        "span",
-        "event",
-        "event_with",
-        "counter",
-        "gauge",
-        "histogram",
-        "heatmap",
-        "snapshot_field",
-    ];
+    const NAMED_FNS: [&str; 5] = ["counter", "gauge", "histogram", "heatmap", "snapshot_field"];
     let code: Vec<&Token> = ctx.tokens.iter().filter(|t| !t.is_comment()).collect();
     for (i, tok) in code.iter().enumerate() {
         if tok.kind != TokenKind::Ident || (tok.text != "lbq_obs" && tok.text != "obs") {

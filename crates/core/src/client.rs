@@ -137,19 +137,12 @@ fn metered_query<R>(
     out
 }
 
-/// Feeds a cache-probe outcome to the global `lbq_obs` counters and,
-/// when tracing is on, emits the per-step hit/miss event.
+/// Feeds a cache-probe outcome to the global `lbq_obs` counters.
 fn note_cache(hits: &lbq_obs::Counter, misses: &lbq_obs::Counter, hit: bool) {
     if hit {
         hits.incr();
-        if lbq_obs::enabled() {
-            lbq_obs::event("client-cache-hit");
-        }
     } else {
         misses.incr();
-        if lbq_obs::enabled() {
-            lbq_obs::event("client-cache-miss");
-        }
     }
 }
 

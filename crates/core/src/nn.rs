@@ -249,8 +249,6 @@ pub fn retrieve_influence_set_in<'s>(
     scratch: &'s mut QueryScratch,
 ) -> (NnValidityRef<'s>, usize) {
     assert!(!inner.is_empty(), "kNN result must be non-empty");
-    let mut span = lbq_obs::span("nn-influence-set");
-    span.record("k", inner.len());
     // When the dataset is exactly the result set, nothing can ever
     // change: the region is the whole universe.
     if tree.len() <= inner.len() {
@@ -299,16 +297,6 @@ pub fn retrieve_influence_set_in<'s>(
         let t_max = q.dist(v);
         tpnn_count += 1;
         let event = tree.tp_knn_with_bound_in(q, dir, t_max, inner, TpBound::Loose, scratch);
-        if lbq_obs::enabled() {
-            lbq_obs::event_with(
-                "tpnn-iteration",
-                [
-                    ("vertices", lbq_obs::Value::from(vertices.len())),
-                    ("pairs", lbq_obs::Value::from(pairs.len())),
-                    ("found", lbq_obs::Value::from(event.is_some())),
-                ],
-            );
-        }
         match event {
             None => {
                 vertices[idx].1 = true;
@@ -364,13 +352,6 @@ pub fn retrieve_influence_set_in<'s>(
         universe,
     };
     crate::invariants::debug_validate_nn(&validity, q);
-    if span.is_active() {
-        span.record("tpnn-queries", tpnn_count);
-        span.record("pairs", validity.pair_count());
-        span.record("influence", validity.influence_count());
-        span.record("edges", validity.edge_count());
-        span.record("area", validity.area());
-    }
     (validity, tpnn_count)
 }
 
@@ -407,8 +388,6 @@ pub fn knn_region_in<'s>(
     universe: Rect,
     scratch: &'s mut QueryScratch,
 ) -> (&'s [Item], NnValidityRef<'s>, usize) {
-    let mut span = lbq_obs::span("nn-region");
-    span.record("k", k);
     let eps = vertex_eps(&universe);
     let mut inner = std::mem::take(&mut scratch.region_inner);
     let mut pairs = std::mem::take(&mut scratch.region_pairs);
@@ -508,12 +487,6 @@ pub fn knn_region_in<'s>(
         universe,
     };
     crate::invariants::debug_validate_nn(&validity, q);
-    if span.is_active() {
-        span.record("outsiders-tested", tested);
-        span.record("pairs", validity.pair_count());
-        span.record("edges", validity.edge_count());
-        span.record("area", validity.area());
-    }
     (&scratch.region_inner, validity, tested)
 }
 

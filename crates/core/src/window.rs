@@ -251,8 +251,6 @@ fn validity_phase(
     scratch: &mut QueryScratch,
 ) -> WindowResponse {
     let window = Rect::centered(c, hx, hy);
-    let mut span = lbq_obs::span("window-validity");
-    span.record("results", result.len());
     if result.is_empty() {
         return empty_window_response(tree, c, hx, hy, universe, window, scratch);
     }
@@ -334,7 +332,6 @@ fn validity_phase(
     } else {
         tree.window_in(&extended, scratch)
     };
-    span.record("candidates", candidates.len());
     // Outer influence objects: candidates whose Minkowski region
     // overlaps the inner rectangle...
     holes.clear();
@@ -417,12 +414,6 @@ fn validity_phase(
         conservative,
     };
     crate::invariants::debug_validate_window(&validity, c);
-    if span.is_active() {
-        span.record("inner-influence", validity.inner_influence.len());
-        span.record("outer-influence", validity.outer_influence.len());
-        span.record("inner-w", inner_rect.width());
-        span.record("inner-h", inner_rect.height());
-    }
     WindowResponse {
         query: c,
         window,

@@ -24,8 +24,6 @@ use crate::heatmap::heatmaps_snapshot;
 use crate::metrics::{metrics_snapshot, MetricValue};
 use crate::recorder::{self, RecorderConfig, SlowCapture};
 use crate::stage::STAGE_NAMES;
-use crate::subscriber::{json_escape, json_value};
-use crate::trace::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -43,6 +41,65 @@ pub const SNAPSHOT_VERSION: u64 = 1;
 /// before truncation.
 const MAX_TILES_PER_LINE: usize = 256;
 
+/// A snapshot header field's value. Conversions exist for the common
+/// primitive types so call sites can write `snapshot_field("k", k)`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// Unsigned integer (counters, sizes).
+    U64(u64),
+    /// Signed integer.
+    I64(i64),
+    /// Floating point (areas, rates).
+    F64(f64),
+    /// Boolean flag.
+    Bool(bool),
+    /// Static string (labels).
+    Str(&'static str),
+    /// Owned string (dynamic labels).
+    Text(String),
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::U64(v)
+    }
+}
+impl From<u32> for Value {
+    fn from(v: u32) -> Self {
+        Value::U64(u64::from(v))
+    }
+}
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::U64(u64::try_from(v).unwrap_or(u64::MAX))
+    }
+}
+impl From<i64> for Value {
+    fn from(v: i64) -> Self {
+        Value::I64(v)
+    }
+}
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::F64(v)
+    }
+}
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(v)
+    }
+}
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Text(v)
+    }
+}
+
 static EXTRA_FIELDS: Mutex<BTreeMap<&'static str, Value>> = Mutex::new(BTreeMap::new());
 
 /// Registers a static field rendered into every snapshot header's
@@ -51,6 +108,52 @@ static EXTRA_FIELDS: Mutex<BTreeMap<&'static str, Value>> = Mutex::new(BTreeMap:
 pub fn snapshot_field(name: &'static str, value: impl Into<Value>) {
     let mut g = EXTRA_FIELDS.lock().unwrap_or_else(|e| e.into_inner());
     g.insert(name, value.into());
+}
+
+/// Escapes `s` into `buf` as JSON string contents (no quotes).
+fn json_escape(buf: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => buf.push_str("\\\""),
+            '\\' => buf.push_str("\\\\"),
+            '\n' => buf.push_str("\\n"),
+            '\r' => buf.push_str("\\r"),
+            '\t' => buf.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(buf, "\\u{:04x}", c as u32);
+            }
+            c => buf.push(c),
+        }
+    }
+}
+
+fn json_value(buf: &mut String, v: &Value) {
+    match v {
+        Value::U64(n) => {
+            let _ = write!(buf, "{n}");
+        }
+        Value::I64(n) => {
+            let _ = write!(buf, "{n}");
+        }
+        Value::F64(x) if x.is_finite() => {
+            let _ = write!(buf, "{x}");
+        }
+        // JSON has no NaN/Infinity.
+        Value::F64(_) => buf.push_str("null"),
+        Value::Bool(b) => {
+            let _ = write!(buf, "{b}");
+        }
+        Value::Str(s) => {
+            buf.push('"');
+            json_escape(buf, s);
+            buf.push('"');
+        }
+        Value::Text(s) => {
+            buf.push('"');
+            json_escape(buf, s);
+            buf.push('"');
+        }
+    }
 }
 
 fn push_kv_str(buf: &mut String, key: &str, v: &str) {
@@ -329,6 +432,33 @@ pub fn install_exporter_from_env() -> Option<Exporter> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escaping_covers_specials() {
+        let mut buf = String::new();
+        json_escape(&mut buf, "a\"b\\c\nd\te\u{1}");
+        assert_eq!(buf, "a\\\"b\\\\c\\nd\\te\\u0001");
+    }
+
+    #[test]
+    fn json_value_nan_is_null() {
+        let mut buf = String::new();
+        json_value(&mut buf, &Value::F64(f64::NAN));
+        assert_eq!(buf, "null");
+        buf.clear();
+        json_value(&mut buf, &Value::F64(2.5));
+        assert_eq!(buf, "2.5");
+    }
+
+    #[test]
+    fn value_conversions() {
+        assert_eq!(Value::from(3usize), Value::U64(3));
+        assert_eq!(Value::from(3u32), Value::U64(3));
+        assert_eq!(Value::from(-3i64), Value::I64(-3));
+        assert_eq!(Value::from(true), Value::Bool(true));
+        assert_eq!(Value::from("x"), Value::Str("x"));
+        assert_eq!(Value::from(String::from("hi")), Value::Text("hi".into()));
+    }
 
     #[test]
     fn parse_specs() {

@@ -1,19 +1,14 @@
-//! `lbq_obs` — zero-dependency tracing, metrics, and query profiling
-//! for the lbq workspace.
+//! `lbq_obs` — zero-dependency metrics and query profiling for the lbq
+//! workspace.
 //!
 //! The paper's evaluation is cost accounting: node/page accesses per
 //! query, TPNN iterations per validity region, influence-set sizes.
 //! This crate makes those costs observable at runtime without pulling
 //! in any external dependency (the workspace builds offline, std-only).
+//! There is one event model: the flight recorder's per-request
+//! [`QueryEvent`]; the other outputs are totals over it or over the
+//! metrics registry.
 //!
-//! Three layers:
-//!
-//! - **Tracing** ([`span`], [`event_with`], [`Subscriber`]): named,
-//!   timed, nested spans with typed fields, delivered to a pluggable
-//!   process-global subscriber ([`TextSubscriber`],
-//!   [`JsonLinesSubscriber`], [`RingBufferSubscriber`]). With no
-//!   subscriber installed every entry point is one relaxed atomic
-//!   load — no clocks, no allocation.
 //! - **Metrics** ([`counter`], [`gauge`], [`histogram`]): a named
 //!   registry of lock-free handles (with per-thread lookup caches);
 //!   histograms give p50/p95/p99 summaries from log-linear buckets
@@ -36,25 +31,20 @@
 //!   end-of-run formatting path used by examples and benches, with a
 //!   greppable `== lbq-obs profile ==` banner.
 //!
-//! Span and metric names are kebab-case string literals, enforced
-//! workspace-wide by the `obs-span-name` rule in `lbq-check`. The
-//! taxonomy lives in DESIGN.md §9.
+//! Metric, heatmap and snapshot-field names are kebab-case string
+//! literals, enforced workspace-wide by the `obs-span-name` rule in
+//! `lbq-check`. The taxonomy lives in DESIGN.md §9.
 //!
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
-//!
-//! let ring = Arc::new(lbq_obs::RingBufferSubscriber::new(16));
-//! lbq_obs::install(ring.clone());
-//! {
-//!     let mut outer = lbq_obs::span("rtree-knn");
-//!     outer.record("k", 4u64);
-//!     let _inner = lbq_obs::span("nn-influence-set");
-//!     lbq_obs::event("tpnn-iteration");
-//! }
-//! lbq_obs::uninstall();
-//! assert_eq!(ring.records().len(), 3); // event + two spans
+//! let hits = lbq_obs::counter("doc-cache-hits");
+//! hits.add(3);
+//! hits.incr();
+//! assert_eq!(hits.get(), 4);
+//! lbq_obs::histogram("doc-lookup").record_ns(1_500);
+//! let table = lbq_obs::render_metrics("global counters");
+//! assert!(table.contains("doc-cache-hits") && table.contains("doc-lookup"));
 //! ```
 
 #![deny(missing_docs)]
@@ -66,11 +56,9 @@ pub mod metrics;
 pub mod recorder;
 pub mod report;
 pub mod stage;
-pub mod subscriber;
-pub mod trace;
 
 pub use export::{
-    install_exporter, install_exporter_from_env, render_snapshot, snapshot_field, Exporter,
+    install_exporter, install_exporter_from_env, render_snapshot, snapshot_field, Exporter, Value,
     SNAPSHOT_VERSION,
 };
 pub use heatmap::{
@@ -88,11 +76,4 @@ pub use report::{fmt_ns, print_metrics, render_metrics, ProfileTable, PROFILE_HE
 pub use stage::{
     record_stage_histograms, recording, set_recording, stage_histograms, stage_timer, take_stages,
     Stage, StageNanos, StageTimer, STAGE_COUNT, STAGE_NAMES,
-};
-pub use subscriber::{
-    flush, install, install_from_env, uninstall, JsonLinesSubscriber, RingBufferSubscriber,
-    Subscriber, TextSubscriber, TraceRecord,
-};
-pub use trace::{
-    enabled, event, event_with, span, span_depth, EventRecord, Field, Span, SpanRecord, Value,
 };

@@ -16,13 +16,11 @@
 //! histogram; once `slow_min_samples` queries are in, any query slower
 //! than `slow_multiplier × p99` (and ≥ `slow_floor_ns`) is captured —
 //! its full per-stage breakdown is pushed to a small bounded capture
-//! buffer ([`FlightRecorder::take_slow_captures`]) and dumped as a
-//! `slow-query` event (stage tree flattened into fields) to whatever
-//! trace subscriber is installed, e.g. the JSONL sink.
+//! buffer ([`FlightRecorder::take_slow_captures`]), which the snapshot
+//! exporter drains into `slow-query` lines.
 
 use crate::metrics::{Histogram, HistogramSummary};
-use crate::stage::{self, StageNanos, STAGE_NAMES};
-use crate::trace::{enabled, event_with, Value};
+use crate::stage::{self, StageNanos};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -106,10 +104,11 @@ pub struct QueryEvent {
     pub tile: u32,
     /// End-to-end latency as reported to the client, ns.
     pub latency_ns: u64,
-    /// R-tree node accesses attributed to this query (approximate
-    /// under concurrent traffic — see `RTree::with_stats`).
+    /// R-tree node accesses of this query. The engine takes them from
+    /// the serving worker's own scratch tally (`QueryScratch::accesses`),
+    /// so they are exact however many workers run at once.
     pub node_accesses: u32,
-    /// R-tree page accesses attributed to this query (same caveat).
+    /// R-tree page accesses of this query (exact, from the same tally).
     pub page_accesses: u32,
     /// Per-stage breakdown of the latency.
     pub stages: StageNanos,
@@ -368,36 +367,17 @@ impl FlightRecorder {
         }
     }
 
-    /// Cold path: buffer the capture and dump it to the trace sink.
+    /// Cold path: buffer the capture for the snapshot exporter.
     fn capture_slow(&self, ev: &QueryEvent, threshold_ns: u64) {
         self.slow_captured.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut buf = self.slow.lock().unwrap_or_else(|e| e.into_inner());
-            if buf.len() >= SLOW_CAPTURE_BUFFER {
-                buf.pop_front();
-            }
-            buf.push_back(SlowCapture {
-                event: *ev,
-                threshold_ns,
-            });
+        let mut buf = self.slow.lock().unwrap_or_else(|e| e.into_inner());
+        if buf.len() >= SLOW_CAPTURE_BUFFER {
+            buf.pop_front();
         }
-        if enabled() {
-            let mut fields: Vec<(&'static str, Value)> = vec![
-                ("query-id", Value::U64(ev.query_id)),
-                ("kind", Value::Str(ev.kind.name())),
-                ("tier", Value::Str(ev.tier.name())),
-                ("k", Value::U64(u64::from(ev.k))),
-                ("tile", Value::U64(u64::from(ev.tile))),
-                ("latency-ns", Value::U64(ev.latency_ns)),
-                ("threshold-ns", Value::U64(threshold_ns)),
-                ("node-accesses", Value::U64(u64::from(ev.node_accesses))),
-                ("page-accesses", Value::U64(u64::from(ev.page_accesses))),
-            ];
-            for (name, ns) in STAGE_NAMES.iter().zip(ev.stages.0) {
-                fields.push((name, Value::U64(ns)));
-            }
-            event_with("slow-query", fields);
-        }
+        buf.push_back(SlowCapture {
+            event: *ev,
+            threshold_ns,
+        });
     }
 
     /// Stable records currently in the ring, oldest first. Slots mid-

@@ -12,8 +12,7 @@
 //! the flight recorder.
 //!
 //! When recording is off ([`set_recording`]) a timer is a single
-//! relaxed atomic load and no clock is read — the same disabled-path
-//! contract as tracing spans. Re-entrant timers for the same stage are
+//! relaxed atomic load and no clock is read. Re-entrant timers for the same stage are
 //! inert at the inner level, so nesting never double-counts.
 //!
 //! Stage names are kebab-case literals in [`STAGE_NAMES`]; each stage

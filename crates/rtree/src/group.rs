@@ -72,29 +72,24 @@ impl RTree {
         scratch: &'s mut QueryScratch,
     ) -> &'s [(Item, f64)] {
         let _stage = lbq_obs::stage_timer(lbq_obs::Stage::GroupKnn);
-        let mut span = lbq_obs::span("rtree-knn-group");
         let mut probe = QueryProbe::default();
-        let shared = self.knn_group_probed(queries, k, scratch, &mut probe);
-        span.record("queries", queries.len());
-        span.record("k", k);
-        span.record("shared", shared);
-        span.record("results", scratch.out_nn.len());
-        self.finish_query_span(&mut span, &probe, &mut scratch.accesses);
+        self.knn_group_probed(queries, k, scratch, &mut probe);
+        self.flush_probe(&probe, &mut scratch.accesses);
         &scratch.out_nn
     }
 
-    /// Body of the group search; returns `true` when the shared
-    /// frontier ran, `false` when it fell back to per-query descent.
+    /// Body of the group search: one shared frontier for a tight tile,
+    /// per-query descent otherwise.
     fn knn_group_probed(
         &self,
         queries: &[Point],
         k: usize,
         scratch: &mut QueryScratch,
         probe: &mut QueryProbe,
-    ) -> bool {
+    ) {
         scratch.out_nn.clear();
         if k == 0 || self.is_empty() || queries.is_empty() {
-            return false;
+            return;
         }
         let m = queries.len();
         if scratch.group_cands.len() < m {
@@ -124,7 +119,6 @@ impl RTree {
             queue.clear();
             queue.push(Reverse((OrdF64::new(0.0), self.root)));
             while let Some(Reverse((OrdF64(lb), node_id))) = queue.pop() {
-                probe.pop();
                 let max_worst = group[..m]
                     .iter()
                     .map(CandidateSet::worst)
@@ -136,7 +130,6 @@ impl RTree {
                 }
                 self.access(node_id, probe);
                 let node = self.node(node_id);
-                probe.visit(node.level);
                 if node.is_leaf() {
                     for &item in &node.items {
                         for (c, &q) in group[..m].iter_mut().zip(queries) {
@@ -166,7 +159,6 @@ impl RTree {
                 .out_nn
                 .extend(c.slots().iter().map(|c| (c.item, c.dist_sq.sqrt())));
         }
-        shared
     }
 }
 

@@ -55,12 +55,11 @@
 //! initial NN query" vs "the TPNN queries", as in the paper's Fig. 27)
 //! nest such scopes rather than resetting any global counter.
 //!
-//! Every public query entry point additionally opens an `lbq_obs` span
-//! (`rtree-knn`, `rtree-window`, `rtree-tpnn`) carrying per-query
-//! NA/PA, heap pops, depth reached and buffer hit rate, and feeds the
-//! global `rtree-node-accesses` / `rtree-page-faults` counters. With no
-//! subscriber installed the hooks cost a handful of integer ops per
-//! query (see DESIGN.md §9).
+//! Every public query entry point counts its own NA/PA in two local
+//! integers and flushes them once, before it returns, into the tree
+//! meter, the scratch's tally ([`QueryScratch::accesses`]) and the
+//! global `rtree-node-accesses` / `rtree-page-faults` counters (see
+//! DESIGN.md §9).
 
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

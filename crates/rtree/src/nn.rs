@@ -41,12 +41,9 @@ impl RTree {
         scratch: &'s mut QueryScratch,
     ) -> &'s [(Item, f64)] {
         let _stage = lbq_obs::stage_timer(lbq_obs::Stage::TreeKnn);
-        let mut span = lbq_obs::span("rtree-knn");
         let mut probe = QueryProbe::default();
         self.knn_probed(q, k, scratch, &mut probe);
-        span.record("k", k);
-        span.record("results", scratch.out_nn.len());
-        self.finish_query_span(&mut span, &probe, &mut scratch.accesses);
+        self.flush_probe(&probe, &mut scratch.accesses);
         &scratch.out_nn
     }
 
@@ -100,7 +97,6 @@ impl RTree {
         let mut fresh = false;
 
         while let Some(Reverse((OrdF64(lb), node_id))) = queue.pop() {
-            probe.pop();
             if fresh {
                 kth = cands.compact();
                 thresh = thresh.min(kth);
@@ -114,7 +110,6 @@ impl RTree {
             }
             self.access(node_id, probe);
             let node = self.node(node_id);
-            probe.visit(node.level);
             if node.is_leaf() {
                 for &item in &node.items {
                     let d = q.dist_sq(item.point);

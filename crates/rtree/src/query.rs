@@ -129,7 +129,6 @@ impl RTree {
         mut split: Option<(Rect, (f64, f64))>,
         scratch: &mut QueryScratch,
     ) -> Option<Rect> {
-        let mut span = lbq_obs::span("rtree-window");
         let mut probe = QueryProbe::default();
         // The reach never shrinks below `q`, so testing it first loses
         // no item of `q`.
@@ -145,10 +144,8 @@ impl RTree {
             ..
         } = *scratch;
         while let Some(node_id) = stack.pop() {
-            probe.pop();
             self.access(node_id, &mut probe);
             let node = self.node(node_id);
-            probe.visit(node.level);
             if node.is_leaf() {
                 match split {
                     Some((ref mut reach, (ax, ay))) => {
@@ -185,8 +182,7 @@ impl RTree {
                 }
             }
         }
-        span.record("results", out_items.len());
-        self.finish_query_span(&mut span, &probe, accesses);
+        self.flush_probe(&probe, accesses);
         split.map(|(reach, _)| reach)
     }
 }

@@ -24,14 +24,6 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Element-wise sum.
-    pub fn merged(self, other: Stats) -> Stats {
-        Stats {
-            node_accesses: self.node_accesses + other.node_accesses,
-            page_faults: self.page_faults + other.page_faults,
-        }
-    }
-
     /// Element-wise difference from an `earlier` snapshot of the same
     /// counters. Saturating: should the counters ever run backwards
     /// (a snapshot racing a counter reset), the delta clamps to zero
@@ -203,24 +195,5 @@ mod tests {
     fn zero_capacity_clamped() {
         let b = LruBuffer::new(0);
         assert_eq!(b.capacity(), 1);
-    }
-
-    #[test]
-    fn stats_merge() {
-        let a = Stats {
-            node_accesses: 3,
-            page_faults: 1,
-        };
-        let b = Stats {
-            node_accesses: 5,
-            page_faults: 2,
-        };
-        assert_eq!(
-            a.merged(b),
-            Stats {
-                node_accesses: 8,
-                page_faults: 3
-            }
-        );
     }
 }

@@ -98,12 +98,9 @@ impl RTree {
         scratch: &mut QueryScratch,
     ) -> Option<TpEvent> {
         let _stage = lbq_obs::stage_timer(lbq_obs::Stage::TpnnChain);
-        let mut span = lbq_obs::span("rtree-tpnn");
         let mut probe = QueryProbe::default();
         let out = self.tp_knn_probed(q, dir, t_max, inner, bound, scratch, &mut probe);
-        span.record("inner", inner.len());
-        span.record("found", out.is_some());
-        self.finish_query_span(&mut span, &probe, &mut scratch.accesses);
+        self.flush_probe(&probe, &mut scratch.accesses);
         out
     }
 
@@ -154,14 +151,12 @@ impl RTree {
         let mut best: Option<TpEvent> = None;
 
         while let Some(Reverse((OrdF64(lb), node_id))) = queue.pop() {
-            probe.pop();
             let horizon = best.as_ref().map_or(t_max, |e| e.time.min(t_max));
             if lb > horizon {
                 break;
             }
             self.access(node_id, probe);
             let node = self.node(node_id);
-            probe.visit(node.level);
             if node.is_leaf() {
                 scan_leaf(
                     &node.items,

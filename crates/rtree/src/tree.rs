@@ -120,8 +120,9 @@ impl RTree {
     /// returns, but the meter is tree-global: when other threads query
     /// the same tree concurrently, the delta includes their accesses
     /// too. For per-query attribution under concurrency, scope
-    /// aggregate deltas around a whole parallel batch and divide, read
-    /// the per-query `na`/`pa` span fields, or measure single-threaded.
+    /// aggregate deltas around a whole parallel batch and divide, take
+    /// the difference of two [`crate::QueryScratch::accesses`] readings
+    /// around the query on its own thread, or measure single-threaded.
     ///
     /// ```
     /// # use lbq_rtree::{RTree, RTreeConfig, Item};
@@ -143,16 +144,11 @@ impl RTree {
         self.stats.snapshot()
     }
 
-    /// `true` when an LRU buffer is attached (PA < NA possible).
-    pub fn has_buffer(&self) -> bool {
-        self.buffered.load(Ordering::Acquire)
-    }
-
     /// Registers a read of `node` with the query's probe and the buffer.
     ///
     /// The unbuffered path (the serving configuration) touches no shared
     /// state: two local increments, flushed once per query by
-    /// [`RTree::finish_query_span`]. Only an attached LRU buffer — a
+    /// [`RTree::flush_probe`]. Only an attached LRU buffer — a
     /// sequential disk-model simulation by nature — takes the lock.
     #[inline]
     pub(crate) fn access(&self, node: NodeId, probe: &mut QueryProbe) {

@@ -252,8 +252,6 @@ impl Engine {
         if n == 0 {
             return Vec::new();
         }
-        let mut span = lbq_obs::span("serve-batch");
-        span.record("batch-size", n as u64);
         // One id per request, claimed in request order: response i of
         // this batch reports `first_id + i` no matter how the tiling
         // permutes or which thread serves it.
@@ -264,7 +262,6 @@ impl Engine {
             self.serve_pooled(&reqs, first_id)
         };
         let hits = out.iter().filter(|r| r.from_cache).count();
-        span.record("cache-hits", hits as u64);
         record_hit_counters(hits as u64, (n - hits) as u64);
         out
     }

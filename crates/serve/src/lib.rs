@@ -27,11 +27,10 @@
 //!
 //! ## Observability
 //!
-//! Every batch opens a `serve-batch` span; per-query spans are the
-//! existing rtree/core ones. Global metrics: `serve-cache-hit` /
-//! `serve-cache-miss` counters, a `serve-queue-depth` gauge, and a
-//! `serve-query-latency` histogram. Per-worker latency histograms are
-//! kept engine-local and rendered by [`Engine::profile_table`].
+//! Global metrics: `serve-cache-hit` / `serve-cache-miss` counters, a
+//! `serve-queue-depth` gauge, and a `serve-query-latency` histogram.
+//! Per-worker latency histograms are kept engine-local and rendered by
+//! [`Engine::profile_table`].
 //!
 //! With recording armed ([`lbq_obs::init_recorder`], or
 //! `LBQ_OBS_SNAPSHOT` via [`lbq_obs::install_exporter_from_env`]), the

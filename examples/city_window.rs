@@ -15,8 +15,6 @@ use lbq_obs::ProfileTable;
 use lbq_rtree::{RTree, RTreeConfig};
 
 fn main() {
-    // `LBQ_TRACE=text|jsonl` streams every span/event to stderr.
-    lbq_obs::install_from_env();
     // A Greece-like street network: 23,268 segment centroids on an
     // 800 km square (the paper's GR dataset, synthesized).
     let data = gr_like_sized(23_268, 3);

@@ -15,8 +15,6 @@ use lbq_obs::{fmt_ns, ProfileTable};
 use lbq_rtree::{RTree, RTreeConfig};
 
 fn main() {
-    // `LBQ_TRACE=text|jsonl` streams every span/event to stderr.
-    lbq_obs::install_from_env();
     // 30k populated places on a 7000 km square continent.
     let data = na_like_sized(30_000, 42);
     println!("dataset: {} ({} points)", data.name, data.len());

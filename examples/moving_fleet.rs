@@ -49,7 +49,6 @@ impl Client {
 }
 
 fn main() {
-    lbq_obs::install_from_env();
     let exporter = lbq_obs::install_exporter_from_env();
     let data = na_like_sized(20_000, 42);
     println!("dataset: {} ({} points)", data.name, data.len());

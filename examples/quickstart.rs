@@ -11,8 +11,6 @@ use lbq_obs::ProfileTable;
 use lbq_rtree::{Item, RTree, RTreeConfig};
 
 fn main() {
-    // `LBQ_TRACE=text|jsonl` streams every span/event to stderr.
-    lbq_obs::install_from_env();
     // A 10 km × 10 km city with a handful of restaurants (meters).
     let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0);
     let restaurants = [
